@@ -3,9 +3,8 @@ word combinatorics, sparse Fock vectors, symbol/matrix operator compressions,
 a scalar series engine, functional calculus, and reproducible experiments."""
 
 from .words import BasisCapExceeded, BasisIndexer, Word, concat, enumerate_words, reverse, strip_prefix, strip_suffix, word
-from .fock import FockVector, inner, project_level, random_vector
+from .fock import FockVector, FreeSeries, inner, project_level, random_vector
 from .operators import (
-    FreeSeries,
     TruncOp,
     adjoint,
     adjoint_power_orbit,

@@ -40,16 +40,14 @@ ORTHOGONALITY_TOL = 1e-10
 
 
 class CalculusContext:
-    """Cache of operator powers X^0..X^K used by series evaluation."""
+    """Cache of powers X^0..X^K of a symbol-backed operator, used by series evaluation."""
 
     def __init__(self, X: TruncOp, K: int):
+        if not X.is_symbolic:
+            raise ValueError("series functional calculus needs a symbol-backed operator")
         self.X = X
         self.K = K
-        if X.is_symbolic:
-            first = series_to_op(FreeSeries.one(X.n), X.n, X.N, side=X.side)
-        else:
-            first = TruncOp(X.n, X.N, matrix=np.eye(X.indexer().size, dtype=complex))
-        self._powers = [first]
+        self._powers = [series_to_op(FreeSeries.one(X.n), X.n, X.N, side=X.side)]
 
     def power(self, k: int) -> TruncOp:
         if k < 0:
@@ -68,29 +66,21 @@ def _require_contraction(X: TruncOp, tol: float = CONTRACTION_TOL) -> None:
         raise ValueError(f"operator has compression norm {nrm:.6f} > 1 + {tol}")
 
 
-def _symbol_degree(X: TruncOp) -> int:
-    return X.symbol.degree() if X.is_symbolic else X.N - X.frontier
-
-
 def apply_series(h: ScalarSeries, X: TruncOp, tol: float = CONTRACTION_TOL) -> TruncOp:
-    """sum_{k<=K} h_k X^k for a contraction X."""
-    _require_contraction(X, tol)
-    keff = max((k for k in range(h.order + 1) if h.coeff(k) != 0), default=0)
-    frontier = max(X.N - keff * _symbol_degree(X), -1)
+    """sum_{k<=K} h_k X^k for a symbol-backed contraction X.
+
+    The frontier is the least frontier of the powers X^k that enter the sum.
+    """
     ctx = CalculusContext(X, h.order)
-    if X.is_symbolic:
-        acc = FreeSeries.zero(X.n)
-        for k in range(h.order + 1):
-            c = h.coeff(k)
-            if c != 0:
-                acc = acc.add(ctx.power(k).symbol.scale(c))
-        return TruncOp(X.n, X.N, symbol=acc, side=X.side, frontier=frontier)
-    m = 0
+    _require_contraction(X, tol)
+    acc = FreeSeries.zero(X.n)
+    frontier = X.N
     for k in range(h.order + 1):
         c = h.coeff(k)
         if c != 0:
-            m = m + c * ctx.power(k).matrix
-    return TruncOp(X.n, X.N, matrix=m, frontier=frontier)
+            acc = acc.add(ctx.power(k).symbol.scale(c))
+            frontier = min(frontier, ctx.power(k).frontier)
+    return TruncOp(X.n, X.N, symbol=acc, side=X.side, frontier=frontier)
 
 
 def _probe_vectors(n: int, N: int, max_level: int, seed: int = 11) -> list[FockVector]:

@@ -1,8 +1,11 @@
 """Command-line front end: one subcommand per experiment plus run-all.
 
-Exit code is 0 iff every requested verdict passes.  Reports are written as
-JSON (one object per experiment) when --out is given, and a one-line summary
-per experiment is always printed.
+Each subcommand takes the flags listed for its experiment in
+``experiments.EXPERIMENTS``, plus --out.  Exit code is 0 when every verdict
+passes, 1 when one fails, and 2 on a usage or input error, which is reported
+in one line on stderr.  Reports are written as JSON (one object per
+experiment) when --out is given, and a one-line summary per experiment is
+always printed.
 """
 
 from __future__ import annotations
@@ -12,100 +15,57 @@ import sys
 from pathlib import Path
 
 from . import experiments
-from .report import Report
-from .words import Word
+from .words import BasisCapExceeded
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=None, help="alphabet size")
-    p.add_argument("--level", type=int, default=None, help="truncation level N")
-    p.add_argument("--terms", type=int, default=None, help="series order / term count K")
-    p.add_argument("--kmax", type=int, default=None, help="iteration or level bound")
-    p.add_argument("--tol", type=float, default=None, help="verdict tolerance")
-    p.add_argument("--seed", type=int, default=None, help="random seed")
-    p.add_argument("--grid", type=int, default=None, help="circle grid size")
-    p.add_argument("--out", type=str, default=None, help="write the report JSON here")
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, without the usage text."""
 
-
-def _opts(args, mapping: dict[str, str]) -> dict:
-    out = {}
-    for flag, kw in mapping.items():
-        val = getattr(args, flag)
-        if val is not None:
-            out[kw] = val
-    return out
-
-
-def _dispatch(args) -> list[Report]:
-    name = args.experiment
-    if name == "adjoint-decay":
-        kw = _opts(args, {"level": "N", "kmax": "kmax", "tol": "tol"})
-        if args.lam is not None:
-            kw["lam"] = complex(args.lam)
-        return [experiments.exp_adjoint_decay(**kw)]
-    if name == "codim-counts":
-        return [experiments.exp_codim_counts(**_opts(args, {"n": "n", "level": "N", "tol": "tol"}))]
-    if name == "factor-generator":
-        return [experiments.exp_factor_generator(**_opts(args, {"terms": "K", "level": "N", "tol": "tol"}))]
-    if name == "thin-isometry":
-        return [experiments.exp_thin_isometry(**_opts(args, {"n": "n", "kmax": "kmax", "level": "N", "tol": "tol"}))]
-    if name == "ideal-counterexample":
-        return [experiments.exp_ideal_counterexample(
-            **_opts(args, {"n": "n", "level": "N", "grid": "grid", "tol": "tol"}))]
-    if name == "membership-witness":
-        return [experiments.exp_membership_witness(**_opts(args, {"terms": "K", "n": "n"}))]
-    if name == "eigenvector":
-        return [experiments.exp_eigenvector(**_opts(args, {"n": "n", "level": "N", "seed": "seed", "tol": "tol"}))]
-    if name == "cesaro":
-        return [experiments.exp_cesaro(**_opts(args, {"n": "n", "kmax": "kmax"}))]
-    if name == "flip-examples":
-        return [experiments.exp_flip_examples(**_opts(args, {"n": "n", "level": "N", "terms": "terms", "grid": "grid"}))]
-    if name == "ball-search":
-        kw = _opts(args, {"n": "n", "level": "N", "seed": "seed", "restarts": "restarts"})
-        if args.word is not None:
-            kw["w"] = Word.parse(args.word)
-        if args.degree is not None:
-            kw["degree"] = args.degree
-        return [experiments.exp_ball_search(**kw)]
-    raise SystemExit(f"unknown experiment {name!r}")
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fockalg",
-        description="Truncated Fock-space experiments; exit code 0 iff all verdicts pass.",
+        description="Truncated Fock-space experiments; exit code 0 if every verdict passes, "
+                    "1 if one fails, 2 on a usage or input error.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in experiments.EXPERIMENTS:
+    for name, flags in experiments.EXPERIMENTS.items():
         p = sub.add_parser(name)
-        _add_common(p)
-        if name == "adjoint-decay":
-            p.add_argument("--lam", type=str, default=None, help="scalar part, |lam| < 1")
-        if name == "ball-search":
-            p.add_argument("--word", type=str, default=None, help='target word, e.g. "z1 z2"')
-            p.add_argument("--degree", type=int, default=None, help="factor degree bound")
-            p.add_argument("--restarts", type=int, default=None, help="search restarts")
+        for flag, (_, kind, text) in flags.items():
+            p.add_argument(f"--{flag}", type=kind, help=text)
+        p.add_argument("--out", help="write the report JSON here")
     p = sub.add_parser("run-all")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--out", type=str, default=None, help="directory for report files")
+    p.add_argument("--out", help="directory for report files")
     return parser
+
+
+def _run(args) -> list:
+    if args.experiment == "run-all":
+        return experiments.run_all(seed=args.seed, out_dir=args.out)
+    flags = experiments.EXPERIMENTS[args.experiment]
+    kwargs = {kw: getattr(args, flag) for flag, (kw, _, _) in flags.items()
+              if getattr(args, flag) is not None}
+    rep = experiments.experiment(args.experiment)(**kwargs)
+    if args.out is not None:
+        out = Path(args.out)
+        if out.is_dir():
+            out = out / f"{rep.name}.json"
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(rep.to_json())
+    return [rep]
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.experiment == "run-all":
-        reports = experiments.run_all(seed=args.seed, out_dir=args.out)
-    else:
-        reports = _dispatch(args)
-        if args.out is not None:
-            out = Path(args.out)
-            if len(reports) == 1 and (out.suffix or not out.exists()):
-                out.parent.mkdir(parents=True, exist_ok=True)
-                out.write_text(reports[0].to_json())
-            else:
-                out.mkdir(parents=True, exist_ok=True)
-                for rep in reports:
-                    (out / f"{rep.name}.json").write_text(rep.to_json())
+    try:
+        reports = _run(args)
+    except (ValueError, BasisCapExceeded) as exc:
+        print(f"fockalg {args.experiment}: error: {exc}", file=sys.stderr)
+        return 2
     for rep in reports:
         print(rep.summary_line())
     return 0 if all(rep.verdict for rep in reports) else 1

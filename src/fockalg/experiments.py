@@ -598,34 +598,47 @@ def exp_ball_search(w: Word | None = None, degree: int = 2, n: int = 2,
 
 # ---------------------------------------------------------------------------
 
+# Command-line flags of each experiment, in run-all order:
+# flag -> (keyword argument, type, help).
+_N = ("n", int, "alphabet size")
+_LEVEL = ("N", int, "truncation level N")
+_K = ("K", int, "series order / term count K")
+_KMAX = ("kmax", int, "iteration or level bound")
+_TOL = ("tol", float, "verdict tolerance")
+_SEED = ("seed", int, "random seed")
+_GRID = ("grid", int, "circle grid size")
+
 EXPERIMENTS = {
-    "adjoint-decay": exp_adjoint_decay,
-    "codim-counts": exp_codim_counts,
-    "factor-generator": exp_factor_generator,
-    "thin-isometry": exp_thin_isometry,
-    "ideal-counterexample": exp_ideal_counterexample,
-    "membership-witness": exp_membership_witness,
-    "eigenvector": exp_eigenvector,
-    "cesaro": exp_cesaro,
-    "flip-examples": exp_flip_examples,
-    "ball-search": exp_ball_search,
+    "adjoint-decay": {"lam": ("lam", complex, "scalar part, |lam| < 1"),
+                      "level": _LEVEL, "kmax": _KMAX, "tol": _TOL},
+    "codim-counts": {"n": _N, "level": _LEVEL, "tol": _TOL},
+    "factor-generator": {"terms": _K, "level": _LEVEL, "tol": _TOL},
+    "thin-isometry": {"n": _N, "kmax": _KMAX, "level": _LEVEL, "tol": _TOL},
+    "ideal-counterexample": {"n": _N, "level": _LEVEL, "grid": _GRID, "tol": _TOL},
+    "membership-witness": {"terms": _K, "n": _N},
+    "eigenvector": {"n": _N, "level": _LEVEL, "seed": _SEED, "tol": _TOL},
+    "cesaro": {"n": _N, "kmax": _KMAX},
+    "flip-examples": {"n": _N, "level": _LEVEL,
+                      "terms": ("terms", int, "terms of the square-summable limit vector"),
+                      "grid": _GRID},
+    "ball-search": {"word": ("w", Word.parse, 'target word, e.g. "z1 z2"'),
+                    "degree": ("degree", int, "factor degree bound"),
+                    "n": _N, "level": _LEVEL,
+                    "restarts": ("restarts", int, "search restarts"), "seed": _SEED},
 }
 
 
+def experiment(name: str):
+    """The function of experiment ``name``, read from the module globals at
+    call time so that a wrapper bound there takes effect."""
+    return globals()["exp_" + name.replace("-", "_")]
+
+
 def run_all(seed: int = 7, out_dir: str | Path | None = None) -> list[Report]:
-    """Run every experiment with default parameters and the given seed."""
-    reports = [
-        exp_adjoint_decay(),
-        exp_codim_counts(),
-        exp_factor_generator(),
-        exp_thin_isometry(),
-        exp_ideal_counterexample(),
-        exp_membership_witness(),
-        exp_eigenvector(seed=seed),
-        exp_cesaro(),
-        exp_flip_examples(),
-        exp_ball_search(seed=seed),
-    ]
+    """Run every experiment with default parameters, passing the seed to
+    those that take one."""
+    reports = [experiment(name)(**({"seed": seed} if "seed" in flags else {}))
+               for name, flags in EXPERIMENTS.items()]
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

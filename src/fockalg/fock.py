@@ -1,65 +1,191 @@
-"""Vectors of the truncated Fock space: sparse maps word -> complex coefficient.
+"""Sparse maps word -> complex coefficient: free series and Fock vectors.
 
-The span of {xi_w : |w| <= N} carries the inner product in which the basis
-words are orthonormal.  Vectors are stored sparsely since the constructions
+A FreeSeries is a finitely supported noncommutative power series sum_w a_w
+over words in letters 1..n.  A FockVector is the same map read as the vector
+sum_w c_w xi_w of the truncated Fock space, the span of {xi_w : |w| <= N} with
+the basis words orthonormal.  Both are stored sparsely since the constructions
 of interest have very few nonzero coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
-from .words import BasisIndexer, Word
+from .words import BasisIndexer, Word, concat
+
+
+def _nonzero(coeffs: dict[Word, complex]) -> dict[Word, complex]:
+    return {w: complex(c) for w, c in coeffs.items() if c != 0}
+
+
+def _check_words(n: int, coeffs: dict[Word, complex], N: Optional[int] = None) -> None:
+    for w, c in coeffs.items():
+        if N is not None and len(w) > N:
+            raise ValueError(f"word {w!r} longer than truncation {N}")
+        if w.max_letter() > n:
+            raise ValueError(f"word {w!r} uses letters beyond alphabet {n}")
+        if c == 0:
+            raise ValueError("zero coefficients should be dropped before construction")
+
+
+def _check_space(a: "FreeSeries", b: "FreeSeries") -> None:
+    if a._space() != b._space():
+        raise ValueError(f"space mismatch: {a._space()} vs {b._space()}")
+
+
+def convolve(left: dict[Word, complex], right: dict[Word, complex],
+             max_len: Optional[int] = None) -> dict[Word, complex]:
+    """Free convolution: out_w = sum over factorizations w = uv of left_u right_v,
+    dropping every w longer than max_len."""
+    out: dict[Word, complex] = {}
+    for u, a in left.items():
+        room = math.inf if max_len is None else max_len - len(u)
+        for v, b in right.items():
+            if len(v) <= room:
+                w = concat(u, v)
+                out[w] = out.get(w, 0.0) + a * b
+    return out
+
+
+def _parse_records(records: list[dict]) -> dict[Word, complex]:
+    return {Word.parse(r["word"]): complex(r["re"], r["im"]) for r in records}
 
 
 @dataclass(frozen=True)
-class FockVector:
+class FreeSeries:
+    """Sparse noncommutative power series sum_w a_w over words in letters 1..n.
+
+    Treated as immutable; operations return new maps of the same kind.
+    """
+
+    n: int
+    coeffs: dict[Word, complex] = field(default_factory=dict)
+
+    def __post_init__(self):
+        _check_words(self.n, self.coeffs)
+
+    @staticmethod
+    def make(n: int, coeffs: dict[Word, complex]) -> "FreeSeries":
+        return FreeSeries(n, _nonzero(coeffs))
+
+    @staticmethod
+    def zero(n: int) -> "FreeSeries":
+        return FreeSeries(n, {})
+
+    @staticmethod
+    def one(n: int) -> "FreeSeries":
+        return FreeSeries(n, {Word(): 1.0 + 0.0j})
+
+    @staticmethod
+    def delta(n: int, w: Word, c: complex = 1.0) -> "FreeSeries":
+        return FreeSeries.make(n, {w: c})
+
+    @staticmethod
+    def from_records(n: int, records: list[dict]) -> "FreeSeries":
+        return FreeSeries.make(n, _parse_records(records))
+
+    def _space(self) -> tuple:
+        """What two maps must share to be added: the alphabet size."""
+        return (self.n,)
+
+    def _like(self, coeffs: dict[Word, complex]) -> "FreeSeries":
+        """A map of the same kind and space with these coefficients, zeros dropped."""
+        return replace(self, coeffs=_nonzero(coeffs))
+
+    def coeff(self, w: Word) -> complex:
+        return self.coeffs.get(w, 0.0 + 0.0j)
+
+    def degree(self) -> int:
+        """Largest word length in the support (0 for the zero series)."""
+        return max((len(w) for w in self.coeffs), default=0)
+
+    def support(self) -> list[Word]:
+        return sorted(self.coeffs, key=lambda w: (len(w), w.letters))
+
+    def l2_norm(self) -> float:
+        return float(np.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values())))
+
+    def sup_abs(self) -> float:
+        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+
+    def truncate(self, max_degree: int) -> "FreeSeries":
+        return self._like({w: c for w, c in self.coeffs.items() if len(w) <= max_degree})
+
+    def scale(self, a: complex) -> "FreeSeries":
+        return self._like({w: a * c for w, c in self.coeffs.items()})
+
+    def add(self, other: "FreeSeries") -> "FreeSeries":
+        _check_space(self, other)
+        out = dict(self.coeffs)
+        for w, c in other.coeffs.items():
+            out[w] = out.get(w, 0.0) + c
+        return self._like(out)
+
+    def sub(self, other: "FreeSeries") -> "FreeSeries":
+        return self.add(other.scale(-1.0))
+
+    def mul(self, other: "FreeSeries", max_degree: Optional[int] = None) -> "FreeSeries":
+        """Free convolution: (st)_w = sum over factorizations w = uv of s_u t_v."""
+        return FreeSeries.make(self.n, convolve(self.coeffs, other.coeffs, max_degree))
+
+    def __add__(self, other):
+        return self.add(other)
+
+    def __sub__(self, other):
+        return self.sub(other)
+
+    def __mul__(self, other):
+        if isinstance(other, FreeSeries):
+            return self.mul(other)
+        return self.scale(other)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def to_records(self) -> list[dict]:
+        """Interchange form: one {word, re, im} record per nonzero coefficient."""
+        return [{"word": str(w), "re": self.coeffs[w].real, "im": self.coeffs[w].imag}
+                for w in self.support()]
+
+
+@dataclass(frozen=True, init=False)
+class FockVector(FreeSeries):
     """Finitely supported vector sum_w c_w xi_w with |w| <= N.
 
     Treated as immutable; operations return new vectors.
     """
 
-    n: int
     N: int
-    coeffs: dict[Word, complex] = field(default_factory=dict)
+
+    def __init__(self, n: int, N: int, coeffs: Optional[dict[Word, complex]] = None):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "coeffs", {} if coeffs is None else coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
-        for w, c in self.coeffs.items():
-            if len(w) > self.N:
-                raise ValueError(f"word {w!r} longer than truncation {self.N}")
-            if w.max_letter() > self.n:
-                raise ValueError(f"word {w!r} uses letters beyond alphabet {self.n}")
-            if c == 0:
-                raise ValueError("zero coefficients should be dropped before construction")
+        _check_words(self.n, self.coeffs, self.N)
 
     @staticmethod
     def make(n: int, N: int, coeffs: dict[Word, complex]) -> "FockVector":
-        return FockVector(n, N, {w: complex(c) for w, c in coeffs.items() if c != 0})
+        return FockVector(n, N, _nonzero(coeffs))
 
     @staticmethod
     def basis(n: int, N: int, w: Word) -> "FockVector":
         return FockVector(n, N, {w: 1.0 + 0.0j})
 
-    def coeff(self, w: Word) -> complex:
-        return self.coeffs.get(w, 0.0 + 0.0j)
+    @staticmethod
+    def from_records(n: int, N: int, records: list[dict]) -> "FockVector":
+        return FockVector.make(n, N, _parse_records(records))
 
-    def norm(self) -> float:
-        return float(np.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values())))
+    def _space(self) -> tuple:
+        return (self.n, self.N)
 
-    def scale(self, a: complex) -> "FockVector":
-        return FockVector.make(self.n, self.N, {w: a * c for w, c in self.coeffs.items()})
-
-    def add(self, other: "FockVector") -> "FockVector":
-        _check_space(self, other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0.0) + c
-        return FockVector.make(self.n, self.N, out)
-
-    def sub(self, other: "FockVector") -> "FockVector":
-        return self.add(other.scale(-1.0))
+    norm = FreeSeries.l2_norm
 
     def to_dense(self, indexer: BasisIndexer | None = None) -> np.ndarray:
         idx = indexer or BasisIndexer(self.n, self.N)
@@ -74,24 +200,6 @@ class FockVector:
         for i in np.nonzero(vec)[0]:
             coeffs[indexer.word_at(int(i))] = complex(vec[i])
         return FockVector(indexer.n, indexer.N, coeffs)
-
-    def to_records(self) -> list[dict]:
-        """Interchange form: one {word, re, im} record per nonzero coefficient."""
-        return [
-            {"word": str(w), "re": c.real, "im": c.imag}
-            for w, c in sorted(self.coeffs.items(), key=lambda it: (len(it[0]), it[0].letters))
-        ]
-
-    @staticmethod
-    def from_records(n: int, N: int, records: list[dict]) -> "FockVector":
-        return FockVector.make(
-            n, N, {Word.parse(r["word"]): complex(r["re"], r["im"]) for r in records}
-        )
-
-
-def _check_space(xi: FockVector, eta: FockVector) -> None:
-    if (xi.n, xi.N) != (eta.n, eta.N):
-        raise ValueError(f"space mismatch: ({xi.n},{xi.N}) vs ({eta.n},{eta.N})")
 
 
 def inner(xi: FockVector, eta: FockVector) -> complex:

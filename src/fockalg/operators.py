@@ -19,116 +19,19 @@ level N silently corrupts products and adjoints outside it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fock import FockVector
+from .fock import FockVector, FreeSeries, convolve
 from .words import BasisCapExceeded, BasisIndexer, Word, concat, enumerate_words, strip_prefix, strip_suffix
 
 DENSE_CAP = 4096
 
 LEFT = "left"
 RIGHT = "right"
-
-
-@dataclass(frozen=True)
-class FreeSeries:
-    """Sparse noncommutative power series sum_w a_w over words in letters 1..n."""
-
-    n: int
-    coeffs: dict[Word, complex] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for w, c in self.coeffs.items():
-            if w.max_letter() > self.n:
-                raise ValueError(f"word {w!r} uses letters beyond alphabet {self.n}")
-            if c == 0:
-                raise ValueError("zero coefficients should be dropped before construction")
-
-    @staticmethod
-    def make(n: int, coeffs: dict[Word, complex]) -> "FreeSeries":
-        return FreeSeries(n, {w: complex(c) for w, c in coeffs.items() if c != 0})
-
-    @staticmethod
-    def zero(n: int) -> "FreeSeries":
-        return FreeSeries(n, {})
-
-    @staticmethod
-    def one(n: int) -> "FreeSeries":
-        return FreeSeries(n, {Word(): 1.0 + 0.0j})
-
-    @staticmethod
-    def delta(n: int, w: Word, c: complex = 1.0) -> "FreeSeries":
-        return FreeSeries.make(n, {w: c})
-
-    def coeff(self, w: Word) -> complex:
-        return self.coeffs.get(w, 0.0 + 0.0j)
-
-    def degree(self) -> int:
-        """Largest word length in the support (0 for the zero series)."""
-        return max((len(w) for w in self.coeffs), default=0)
-
-    def support(self) -> list[Word]:
-        return sorted(self.coeffs, key=lambda w: (len(w), w.letters))
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values())))
-
-    def sup_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def truncate(self, max_degree: int) -> "FreeSeries":
-        return FreeSeries(self.n, {w: c for w, c in self.coeffs.items() if len(w) <= max_degree})
-
-    def scale(self, a: complex) -> "FreeSeries":
-        return FreeSeries.make(self.n, {w: a * c for w, c in self.coeffs.items()})
-
-    def add(self, other: "FreeSeries") -> "FreeSeries":
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0.0) + c
-        return FreeSeries.make(self.n, out)
-
-    def mul(self, other: "FreeSeries", max_degree: Optional[int] = None) -> "FreeSeries":
-        """Free convolution: (st)_w = sum over factorizations w = uv of s_u t_v."""
-        out: dict[Word, complex] = {}
-        for u, a in self.coeffs.items():
-            for v, b in other.coeffs.items():
-                if max_degree is not None and len(u) + len(v) > max_degree:
-                    continue
-                w = concat(u, v)
-                out[w] = out.get(w, 0.0) + a * b
-        return FreeSeries.make(self.n, out)
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.add(other.scale(-1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, FreeSeries):
-            return self.mul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def to_records(self) -> list[dict]:
-        return [
-            {"word": str(w), "re": c.real, "im": c.imag}
-            for w, c in sorted(self.coeffs.items(), key=lambda it: (len(it[0]), it[0].letters))
-        ]
-
-    @staticmethod
-    def from_records(n: int, records: list[dict]) -> "FreeSeries":
-        return FreeSeries.make(
-            n, {Word.parse(r["word"]): complex(r["re"], r["im"]) for r in records}
-        )
 
 
 class TruncOp:
@@ -184,13 +87,8 @@ class TruncOp:
         if (xi.n, xi.N) != (self.n, self.N):
             raise ValueError("vector lives in a different truncated space")
         if self.is_symbolic:
-            out: dict[Word, complex] = {}
-            for v, c in xi.coeffs.items():
-                for w, a in self.symbol.coeffs.items():
-                    if len(w) + len(v) > self.N:
-                        continue
-                    t = concat(w, v) if self.side == LEFT else concat(v, w)
-                    out[t] = out.get(t, 0.0) + a * c
+            s = self.symbol.coeffs
+            out = convolve(s, xi.coeffs, self.N) if self.side == LEFT else convolve(xi.coeffs, s, self.N)
             return FockVector.make(self.n, self.N, out)
         idx = self.indexer()
         return FockVector.from_dense(np.asarray(self.matrix @ xi.to_dense(idx)).ravel(), idx)
@@ -220,11 +118,11 @@ class TruncOp:
 
     def __add__(self, other: "TruncOp") -> "TruncOp":
         self._same_space(other)
+        frontier = min(self.frontier, other.frontier)
         if self.is_symbolic and other.is_symbolic and self.side == other.side:
-            s = self.symbol.add(other.symbol)
-            return TruncOp(self.n, self.N, symbol=s, side=self.side)
-        return TruncOp(self.n, self.N, matrix=self.matrix + other.matrix,
-                       frontier=min(self.frontier, other.frontier))
+            return TruncOp(self.n, self.N, symbol=self.symbol.add(other.symbol), side=self.side,
+                           frontier=frontier)
+        return TruncOp(self.n, self.N, matrix=self.matrix + other.matrix, frontier=frontier)
 
     def __sub__(self, other: "TruncOp") -> "TruncOp":
         return self + other.scale(-1.0)
@@ -364,7 +262,9 @@ def compose(X: TruncOp, Y: TruncOp) -> TruncOp:
         # L_u L_v = L_{uv} while R_u R_v = R_{vu}
         prod = X.symbol.mul(Y.symbol, max_degree=X.N) if X.side == LEFT \
             else Y.symbol.mul(X.symbol, max_degree=X.N)
-        frontier = max(X.N - (X.symbol.degree() + Y.symbol.degree()), -1)
+        # Y is exact up to its frontier and raises levels by at most deg Y,
+        # where X must still be exact
+        frontier = max(min(Y.frontier, X.frontier - Y.symbol.degree()), -1)
         return TruncOp(X.n, X.N, symbol=prod, side=X.side, frontier=frontier)
     return TruncOp(X.n, X.N, matrix=X.matrix @ Y.matrix,
                    frontier=min(X.frontier, Y.frontier))
@@ -383,7 +283,7 @@ def _spectral_norm(m) -> float:
             try:
                 s = spla.svds(m.astype(complex), k=1, return_singular_vectors=False)
                 return float(s[0])
-            except Exception:
+            except (spla.ArpackNoConvergence, spla.ArpackError):
                 # power iteration on m^H m as a fallback
                 rng = np.random.default_rng(0)
                 x = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])

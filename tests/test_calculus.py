@@ -24,6 +24,7 @@ from fockalg.operators import (
     compose,
     creation_op,
     fourier_of,
+    op_from_matrix,
     op_norm,
     series_to_op,
 )
@@ -284,3 +285,9 @@ def test_search_unit_word_only_scalar_unitaries():
 def test_search_validates_sizes():
     with pytest.raises(ValueError):
         search_ball_factorizations(word(1, 2, 1), 1, 2, 5)
+
+
+def test_apply_series_rejects_matrix_backed_operator():
+    X = op_from_matrix(L_op(1, N=4).dense(), 2, 4)
+    with pytest.raises(ValueError, match="symbol-backed"):
+        apply_series(harmonic_series(3), X)

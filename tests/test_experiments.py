@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from fockalg import experiments as E
 from fockalg.cli import main
 from fockalg.operators import FreeSeries
+from fockalg.report import Report
 from fockalg.words import Word, word
 
 REPORT_KEYS = {"name", "params", "measurements", "verdict", "tolerances", "anchors", "notes"}
@@ -240,3 +242,47 @@ def test_cli_failing_verdict_exit_code(capsys):
     code = main(["adjoint-decay", "--lam", "0.9", "--kmax", "20"])
     assert code == 1
     assert capsys.readouterr().out.startswith("[FAIL]")
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor-generator", "--terms", "0"],
+    ["ball-search", "--word", "zq"],
+    ["codim-counts", "--n", "1"],
+    ["cesaro", "--seed", "3"],  # cesaro takes no seed
+])
+def test_cli_usage_and_input_errors_exit_2(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "error" in captured.err and "Traceback" not in captured.err
+
+
+# -- experiment table ------------------------------------------------------------
+
+
+def test_experiment_flags_are_function_parameters():
+    for name, flags in E.EXPERIMENTS.items():
+        params = inspect.signature(E.experiment(name)).parameters
+        for flag, (kw, _, _) in flags.items():
+            assert kw in params, f"{name} --{flag} -> {kw}"
+
+
+def test_run_all_runs_each_entry_once(tmp_path, monkeypatch):
+    calls = {}
+    for name in E.EXPERIMENTS:
+        def stub(_name=name, **kwargs):
+            calls[_name] = kwargs
+            return Report(name=_name, params={}, measurements={}, verdict=True,
+                          tolerances={}, anchors=[])
+        monkeypatch.setattr(E, "exp_" + name.replace("-", "_"), stub)
+    reports = E.run_all(seed=3, out_dir=tmp_path)
+    assert [rep.name for rep in reports] == list(E.EXPERIMENTS)
+    assert calls == {name: {"seed": 3} if "seed" in flags else {}
+                     for name, flags in E.EXPERIMENTS.items()}
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted([f"{name}.json" for name in E.EXPERIMENTS] + ["summary.txt"])

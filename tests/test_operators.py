@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_series
+from fockalg import operators
+from fockalg.calculus import apply_series
 from fockalg.fock import FockVector, inner, random_vector
+from fockalg.hardy import ScalarSeries, harmonic_series
 from fockalg.operators import (
     FreeSeries,
     adjoint,
@@ -421,3 +427,84 @@ def test_frontier_rules():
     B = op_from_matrix(X.dense(), n, N, frontier=2)
     assert compose(A, B).frontier == 2
     assert adjoint(X).frontier == N
+
+
+def test_frontier_of_sums_and_products():
+    n, N = 2, 5
+    I = identity_op(n, N)
+    H = apply_series(harmonic_series(4), creation_op("left", word(1, 1), n, N))
+    assert H.frontier == -1
+    assert (H + I).frontier == -1
+    L3 = creation_op("left", word(1, 1, 1), n, N)
+    assert (compose(L3, L3) + I).frontier == -1
+
+
+def _random_symbol(rng, n, degree, terms):
+    s = random_series(rng, n, degree, terms)
+    return s.scale(1.0 / sum(abs(c) for c in s.coeffs.values()))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    N=st.integers(2, 5),
+    side=st.sampled_from(["left", "right"]),
+    steps=st.lists(st.sampled_from(["add", "compose-first", "compose-last", "series"]),
+                   max_size=3),
+)
+def test_frontier_never_exceeds_oracle(seed, N, side, steps):
+    # Build an expression at truncation N and its untruncated symbol side by side,
+    # then compare the claimed exact region with an oracle at N + total degree.
+    n = 2
+    rng = np.random.default_rng(seed)
+
+    def leaf():
+        s = _random_symbol(rng, n, int(rng.integers(0, 3)), 2)
+        return series_to_op(s, n, N, side), s
+
+    def product(a, b):  # symbol of compose(A, B), where B acts first
+        return a.mul(b) if side == "left" else b.mul(a)
+
+    X, sym = leaf()
+    for step in steps:
+        Y, ysym = leaf()
+        if step == "add":
+            X, sym = X + Y, sym + ysym
+        elif step == "compose-first":
+            X, sym = compose(X, Y), product(sym, ysym)
+        elif step == "compose-last":
+            X, sym = compose(Y, X), product(ysym, sym)
+        else:
+            scale = 1.0 / max(1.0, sum(abs(c) for c in X.symbol.coeffs.values()))
+            X, sym = X.scale(scale), sym.scale(scale)
+            h = ScalarSeries.make(list(rng.uniform(-1, 1, size=int(rng.integers(2, 4)))))
+            power, true = FreeSeries.one(n), FreeSeries.zero(n)
+            for k in range(h.order + 1):
+                true = true + power.scale(h.coeff(k))
+                power = product(sym, power)
+            X, sym = apply_series(h, X), true
+    M = N + sym.degree()
+    oracle = series_to_op(sym, n, M, side)
+    for k in range(X.frontier + 1):
+        for v in enumerate_words(n, k):
+            got = X.apply(FockVector.basis(n, N, v))
+            want = oracle.apply(FockVector.basis(n, M, v))
+            for w in set(got.coeffs) | set(want.coeffs):
+                assert abs(got.coeff(w) - want.coeff(w)) <= 1e-12, (X.frontier, v, w)
+
+
+def _no_convergence(*args, **kwargs):
+    raise spla.ArpackNoConvergence("ARPACK did not converge", np.empty(0), np.empty((0, 0)))
+
+
+def _broken_call(*args, **kwargs):
+    raise TypeError("bad svds call")
+
+
+def test_spectral_norm_fallback_on_arpack_failure(monkeypatch):
+    monkeypatch.setattr(operators.spla, "svds", _no_convergence)
+    L = creation_op("left", word(1, 2), 2, 12)  # basis 8191: sparse arm
+    assert abs(op_norm(L) - 1.0) <= 1e-9
+    monkeypatch.setattr(operators.spla, "svds", _broken_call)
+    with pytest.raises(TypeError):
+        op_norm(creation_op("left", word(1, 2), 2, 12))

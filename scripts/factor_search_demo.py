@@ -21,10 +21,10 @@ def main():
     N = max(2 * degree, len(w)) + 1
     cands = search_ball_factorizations(w, degree=degree, n=2, N=N, restarts=restarts, seed=seed)
     print(f"target L_[{w}]  restarts={restarts}  seed={seed}  degree={degree}  N={N}")
-    print(f"{'residual':>12}  {'dist-to-splits':>14}  {'best split':>16}  iters")
+    print(f"{'restart':>7}  {'residual':>12}  {'dist-to-splits':>14}  {'best split':>16}  iters")
     for c in cands:
         split = f"{c.split[0]}|{c.split[1]}"
-        print(f"{c.residual:12.3e}  {c.manifold_distance:14.3e}  {split:>16}  {c.iterations}")
+        print(f"{c.restart:7d}  {c.residual:12.3e}  {c.manifold_distance:14.3e}  {split:>16}  {c.iterations}")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .operators import (
     series_to_op,
 )
 from .report import Report
-from .words import BasisCapExceeded, Word, enumerate_words
+from .words import BasisCapExceeded, BasisIndexer, Word, concat, enumerate_words
 
 CONTRACTION_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-10
@@ -255,6 +255,7 @@ class FactorCandidate:
     split: tuple[Word, Word]
     phase: complex
     iterations: int
+    restart: int
 
 
 def factorization_residual(b: FreeSeries, c: FreeSeries, w: Word, n: int, N: int) -> float:
@@ -287,31 +288,45 @@ def classify_word_factorization(b: FreeSeries, c: FreeSeries, w: Word) -> tuple[
     return math.sqrt(max(d2, 0.0)), split, lam
 
 
-def _coeff_words(n: int, degree: int) -> list[Word]:
-    return [w for k in range(degree + 1) for w in enumerate_words(n, k)]
+class _BallProblem:
+    """B C = L_w over coefficient vectors indexed by the words |u| <= degree.
 
+    kernel[t, u, v] = sqrt(m_|t|) when uv = t: kernel @ c and b @ kernel are
+    the weighted designs of b -> b*c and c -> b*c.  A vector's compression is
+    a scatter of its coefficients (the P_N L_u P_N have disjoint 0/1 supports).
+    """
 
-def _series_from_vec(vec: np.ndarray, basis: list[Word], n: int) -> FreeSeries:
-    return FreeSeries.make(n, dict(zip(basis, vec)))
+    def __init__(self, w: Word, degree: int, n: int, N: int):
+        root_m = [math.sqrt(sum(n**j for j in range(N - d + 1))) for d in range(2 * degree + 1)]
+        self.basis = [u for k in range(degree + 1) for u in enumerate_words(n, k)]
+        self.target = creation_op(LEFT, w, n, N).dense()
+        supports = [np.flatnonzero(creation_op(LEFT, u, n, N).dense()) for u in self.basis]
+        self._flat = np.concatenate(supports)
+        self._owner = np.repeat(np.arange(len(supports)), [s.size for s in supports])
+        products = BasisIndexer(n, 2 * degree)
+        self.kernel = np.zeros((products.size, len(self.basis), len(self.basis)))
+        for i, u in enumerate(self.basis):
+            for j, v in enumerate(self.basis):
+                self.kernel[products.index_of(concat(u, v)), i, j] = root_m[len(u) + len(v)]
+        self.wtarget = np.zeros(products.size, dtype=complex)
+        self.wtarget[products.index_of(w)] = root_m[len(w)]
 
+    def matrix(self, vec: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.target.size, dtype=complex)
+        out[self._flat] = vec[self._owner]
+        return out.reshape(self.target.shape)
 
-def _sigma(vec: np.ndarray, mats: list[np.ndarray]) -> float:
-    m = _assemble(vec, mats)
-    return float(np.linalg.norm(m, 2)) if m.size else 0.0
+    def sigma(self, vec: np.ndarray) -> float:
+        return float(np.linalg.norm(self.matrix(vec), 2))
 
+    def project(self, vec: np.ndarray) -> np.ndarray:
+        """Spectral scaling onto the unit ball: divide by sigma_max when > 1."""
+        sigma = self.sigma(vec)
+        return vec / sigma if sigma > 1.0 else vec
 
-def _ball_project(vec: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-    """Spectral scaling onto the unit ball: divide by sigma_max when > 1."""
-    sigma = _sigma(vec, mats)
-    return vec / sigma if sigma > 1.0 else vec
-
-
-def _assemble(vec: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros_like(mats[0])
-    for coef, m in zip(vec, mats):
-        if coef != 0:
-            out = out + coef * m
-    return out
+    def residual(self, b: np.ndarray, c: np.ndarray) -> float:
+        """||P_N (B C - L_w) P_N||_F, from the coefficients alone."""
+        return float(np.linalg.norm(self.kernel @ c @ b - self.wtarget))
 
 
 def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
@@ -320,8 +335,14 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
     """Alternating least squares over coefficient polynomials of bounded degree,
     with spectral-norm projection keeping both factors in the unit ball.
 
-    Each half-step is a linear least-squares problem in one factor's
-    coefficients.  When the updated factor is projected (divided by its
+    Left creation operators never lower the level, so P_N B (I - P_N) = 0 and
+    compressions compose exactly; the P_N L_t P_N of distinct words t are
+    Frobenius-orthogonal with squared norm m_|t|, m_d = sum_{j=0}^{N-d} n^j.
+    So ||P_N (B C - L_w) P_N||_F^2 = sum_t m_|t| |(b*c)_t - delta_{t,w}|^2, and
+    each half-step is a linear least-squares problem in one factor's
+    coefficients with one row per product word, weighted by sqrt(m_|t|).  The
+    convergence test reads that residual; spectral norms are taken on the
+    full compressions.  When the updated factor is projected (divided by its
     sigma_max), the discarded scale is carried into the other factor; the
     product is invariant under (tB, C/t), so the carry keeps the objective
     monotone where a bare projection stalls.  Both factors are projected once
@@ -331,37 +352,31 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
     """
     if not len(w) <= 2 * degree <= N:
         raise ValueError("need |w| <= 2*degree <= N")
-    basis = _coeff_words(n, degree)
-    mats = [creation_op(LEFT, u, n, N).dense() for u in basis]
-    target = creation_op(LEFT, w, n, N).dense()
-    tvec = target.ravel()
+    problem = _BallProblem(w, degree, n, N)
+    basis = problem.basis
     m = len(basis)
     out: list[FactorCandidate] = []
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         bvec = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2 * m)
         cvec = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2 * m)
-        bvec = _ball_project(bvec, mats)
-        cvec = _ball_project(cvec, mats)
+        bvec = problem.project(bvec)
+        cvec = problem.project(cvec)
         history: list[float] = []
         iters = 0
         for it in range(max_iter):
             iters = it + 1
-            C = _assemble(cvec, mats)
-            design = np.stack([(mu @ C).ravel() for mu in mats], axis=1)
-            bvec = np.linalg.lstsq(design, tvec, rcond=None)[0]
-            sb = _sigma(bvec, mats)
+            bvec = np.linalg.lstsq(problem.kernel @ cvec, problem.wtarget, rcond=None)[0]
+            sb = problem.sigma(bvec)
             if sb > 1.0:
                 bvec /= sb
                 cvec *= sb
-            B = _assemble(bvec, mats)
-            design = np.stack([(B @ mv).ravel() for mv in mats], axis=1)
-            cvec = np.linalg.lstsq(design, tvec, rcond=None)[0]
-            sc = _sigma(cvec, mats)
+            cvec = np.linalg.lstsq(bvec @ problem.kernel, problem.wtarget, rcond=None)[0]
+            sc = problem.sigma(cvec)
             if sc > 1.0:
                 cvec /= sc
                 bvec = bvec * sc
-            res = float(np.linalg.norm(_assemble(bvec, mats) @ _assemble(cvec, mats) - target))
+            res = problem.residual(bvec, cvec)
             history.append(res)
             if res < 1e-13:
                 break
@@ -370,18 +385,18 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
                 break
         # rebalance the (tB, C/t) gauge before the final feasibility projection
         # so the projection is as close to lossless as the product allows
-        sb = _sigma(bvec, mats)
-        sc = _sigma(cvec, mats)
+        sb = problem.sigma(bvec)
+        sc = problem.sigma(cvec)
         if sb > 0 and sc > 0:
             t = math.sqrt(sb / sc)
             bvec = bvec / t
             cvec = cvec * t
-        bvec = _ball_project(bvec, mats)
-        cvec = _ball_project(cvec, mats)
-        bser = _series_from_vec(bvec, basis, n)
-        cser = _series_from_vec(cvec, basis, n)
-        residual = float(np.linalg.norm(_assemble(bvec, mats) @ _assemble(cvec, mats) - target, 2))
+        bvec = problem.project(bvec)
+        cvec = problem.project(cvec)
+        bser = FreeSeries.make(n, dict(zip(basis, bvec)))
+        cser = FreeSeries.make(n, dict(zip(basis, cvec)))
+        residual = float(np.linalg.norm(problem.matrix(bvec) @ problem.matrix(cvec) - problem.target, 2))
         dist, split, lam = classify_word_factorization(bser, cser, w)
-        out.append(FactorCandidate(bser, cser, residual, dist, split, lam, iters))
+        out.append(FactorCandidate(bser, cser, residual, dist, split, lam, iters, r))
     out.sort(key=lambda cand: cand.residual)
     return out

@@ -416,6 +416,7 @@ def exp_eigenvector(lam_tuple: tuple[complex, ...] | None = None, n: int = 2,
     lam_norm = math.sqrt(sum(abs(t) ** 2 for t in lam_tuple))
     if lam_norm >= 1:
         raise ValueError(f"need ||lam|| < 1, got {lam_norm}")
+    BasisIndexer(n, N)  # raises BasisCapExceeded before any level is built
     level = {Word(): 1.0 + 0.0j}
     coeffs = dict(level)
     for _ in range(N):
@@ -565,6 +566,7 @@ def exp_ball_search(w: Word | None = None, degree: int = 2, n: int = 2,
     verdict = bool(near) and classified_ok and feas <= 1 + 1e-12 and witness_residual <= 1e-9
     candidate_rows = [
         {
+            "restart": c.restart,
             "residual": c.residual,
             "manifold_distance": c.manifold_distance,
             "split": f"{c.split[0]}|{c.split[1]}",

@@ -295,7 +295,11 @@ def _spectral_norm(m) -> float:
                     if nrm == 0:
                         return 0.0
                     x = y / nrm
+                    if abs(nrm - val) <= 1e-12 * nrm:
+                        return float(np.sqrt(nrm))
                     val = nrm
+                warnings.warn("power iteration did not converge in 200 steps; "
+                              "the spectral norm estimate may be low", RuntimeWarning)
                 return float(np.sqrt(val))
     if m.size == 0:
         return 0.0

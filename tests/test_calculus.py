@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_series
 from fockalg.calculus import (
     CalculusContext,
+    _BallProblem,
     apply_series,
     check_isometric_on_frontier,
     classify_word_factorization,
@@ -28,7 +31,7 @@ from fockalg.operators import (
     op_norm,
     series_to_op,
 )
-from fockalg.words import Word, word
+from fockalg.words import Word, enumerate_words, word
 
 
 def L_op(letter, n=2, N=10):
@@ -280,6 +283,102 @@ def test_search_unit_word_only_scalar_unitaries():
             assert abs(abs(c.b.coeff(Word())) - 1.0) <= 1e-6
             assert abs(abs(c.c.coeff(Word())) - 1.0) <= 1e-6
         assert op_norm(series_to_op(c.b, 2, 5)) <= 1 + 1e-12
+
+
+def _dense_design_als(w, degree, n, N, restarts, seed, max_iter=300):
+    """Reference ball search on dense designs (one row per compression entry).
+
+    Returns the coefficient words and, in restart order, (iterations, b, c)
+    after the final projection.
+    """
+    basis = [u for k in range(degree + 1) for u in enumerate_words(n, k)]
+    mats = [creation_op("left", u, n, N).dense() for u in basis]
+    target = creation_op("left", w, n, N).dense()
+    m = len(basis)
+
+    def assemble(vec):
+        out = np.zeros_like(mats[0])
+        for coef, mu in zip(vec, mats):
+            if coef != 0:
+                out = out + coef * mu
+        return out
+
+    def sigma(vec):
+        return float(np.linalg.norm(assemble(vec), 2))
+
+    def project(vec):
+        s = sigma(vec)
+        return vec / s if s > 1.0 else vec
+
+    runs = []
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        bvec = project((rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2 * m))
+        cvec = project((rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2 * m))
+        history = []
+        for it in range(max_iter):
+            C = assemble(cvec)
+            design = np.stack([(mu @ C).ravel() for mu in mats], axis=1)
+            bvec = np.linalg.lstsq(design, target.ravel(), rcond=None)[0]
+            sb = sigma(bvec)
+            if sb > 1.0:
+                bvec, cvec = bvec / sb, cvec * sb
+            B = assemble(bvec)
+            design = np.stack([(B @ mv).ravel() for mv in mats], axis=1)
+            cvec = np.linalg.lstsq(design, target.ravel(), rcond=None)[0]
+            sc = sigma(cvec)
+            if sc > 1.0:
+                cvec, bvec = cvec / sc, bvec * sc
+            history.append(float(np.linalg.norm(assemble(bvec) @ assemble(cvec) - target)))
+            if history[-1] < 1e-13 or (it >= 80 and history[-40] - history[-1] < 0.03 * history[-1]):
+                break
+        sb, sc = sigma(bvec), sigma(cvec)
+        if sb > 0 and sc > 0:
+            t = math.sqrt(sb / sc)
+            bvec, cvec = bvec / t, cvec * t
+        runs.append((len(history), project(bvec), project(cvec)))
+    return basis, runs
+
+
+def test_search_matches_dense_design_reference():
+    # at seed 7, restarts 0 and 1 end far from L_w and 2 and 3 reach it
+    w, degree, n, N, restarts, max_iter = word(1, 2), 2, 2, 5, 4, 100
+    basis, runs = _dense_design_als(w, degree, n, N, restarts, seed=7, max_iter=max_iter)
+    cands = search_ball_factorizations(w, degree, n, N, restarts=restarts, seed=7,
+                                       max_iter=max_iter)
+    assert sorted(c.restart for c in cands) == list(range(restarts))
+    for c in cands:
+        iters, bvec, cvec = runs[c.restart]
+        assert c.iterations == iters
+        b = FreeSeries.make(n, dict(zip(basis, bvec)))
+        cs = FreeSeries.make(n, dict(zip(basis, cvec)))
+        assert c.split == classify_word_factorization(b, cs, w)[1]
+        assert (c.b - b).sup_abs() <= 1e-10
+        assert (c.c - cs).sup_abs() <= 1e-10
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3]),
+    degree=st.sampled_from([1, 2]),
+    extra=st.integers(0, 2),
+)
+def test_weighted_coefficient_residual_is_frobenius_residual(seed, n, degree, extra):
+    N = 2 * degree + extra
+    rng = np.random.default_rng(seed)
+    products = [t for k in range(2 * degree + 1) for t in enumerate_words(n, k)]
+    w = products[rng.integers(len(products))]
+    problem = _BallProblem(w, degree, n, N)
+    m = len(problem.basis)
+    b, c = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+    B = C = 0
+    for x, y, u in zip(b, c, problem.basis):
+        mu = creation_op("left", u, n, N).dense()
+        B, C = B + x * mu, C + y * mu
+    assert np.array_equal(problem.matrix(b), B)  # the scatter is exact
+    want = np.linalg.norm(B @ C - creation_op("left", w, n, N).dense())
+    assert abs(problem.residual(b, c) - want) <= 1e-12 * want
 
 
 def test_search_validates_sizes():

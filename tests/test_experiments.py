@@ -9,7 +9,7 @@ from fockalg import experiments as E
 from fockalg.cli import main
 from fockalg.operators import FreeSeries
 from fockalg.report import Report
-from fockalg.words import Word, word
+from fockalg.words import BasisCapExceeded, Word, word
 
 REPORT_KEYS = {"name", "params", "measurements", "verdict", "tolerances", "anchors", "notes"}
 
@@ -230,6 +230,16 @@ def test_cli_flag_mapping(tmp_path):
 
 def test_cli_eigenvector_seeded():
     assert main(["eigenvector", "--seed", "3", "--level", "8"]) == 0
+
+
+def test_cli_eigenvector_checks_basis_cap_first(monkeypatch, capsys):
+    # the whole basis up to the level is checked before any level is built
+    monkeypatch.setenv("FOCKALG_BASIS_CAP", "100")
+    with pytest.raises(BasisCapExceeded, match="N=12"):
+        E.exp_eigenvector(N=12)
+    assert main(["eigenvector", "--level", "12"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "N=12" in err
 
 
 def test_cli_unknown_experiment():

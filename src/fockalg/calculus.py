@@ -16,6 +16,7 @@ the alternating least-squares search here corroborates numerically.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +59,19 @@ class CalculusContext:
 
 
 def _require_contraction(X: TruncOp, tol: float = CONTRACTION_TOL) -> None:
+    # ||sum a_w L_w|| <= sum_d (sum_{|w|=d} |a_w|^2)^{1/2}, as the L_w (or R_w)
+    # with |w| = d are isometries with orthogonal ranges
+    levels: dict[int, float] = {}
+    for w, a in X.symbol.coeffs.items():
+        levels[len(w)] = levels.get(len(w), 0.0) + abs(a) ** 2
+    bound = sum(math.sqrt(v) for v in levels.values())
+    if bound <= 1 + tol:
+        return
     try:
         nrm = op_norm(X)
     except BasisCapExceeded:
+        warnings.warn(f"contraction unchecked: symbol bound {bound:.6f} > 1 + {tol} "
+                      "and the compression is over the basis cap", RuntimeWarning, stacklevel=3)
         return
     if nrm > 1 + tol:
         raise ValueError(f"operator has compression norm {nrm:.6f} > 1 + {tol}")

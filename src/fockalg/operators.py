@@ -18,6 +18,7 @@ level N silently corrupts products and adjoints outside it.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from typing import Optional
 
@@ -26,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fock import FockVector, FreeSeries, convolve
-from .words import BasisCapExceeded, BasisIndexer, Word, concat, enumerate_words, strip_prefix, strip_suffix
+from .words import BasisCapExceeded, BasisIndexer, Word, enumerate_words, strip_prefix, strip_suffix
 
 DENSE_CAP = 4096
 
@@ -139,27 +140,26 @@ class TruncOp:
 
 def _materialize(symbol: FreeSeries, side: str, n: int, N: int, idx: BasisIndexer):
     size = idx.size
-    dense = size <= DENSE_CAP
-    if dense:
-        m = np.zeros((size, size), dtype=complex)
-    else:
-        rows, cols, vals = [], [], []
+    off = np.array([idx.level_offset(k) for k in range(N + 2)])
+    level = np.repeat(np.arange(N + 1), np.diff(off))
+    r = np.arange(size) - off[level]  # rank of each column inside its level
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
     for w, a in symbol.coeffs.items():
         d = len(w)
+        rank = functools.reduce(lambda t, letter: t * n + letter - 1, w.letters, 0)
         # columns at levels > N - d overflow and stay zero
-        for j in range(idx.level_offset(N - d + 1)):
-            v = idx.word_at(j)
-            t = concat(w, v) if side == LEFT else concat(v, w)
-            i = idx.index_of(t)
-            if dense:
-                m[i, j] += a
-            else:
-                rows.append(i)
-                cols.append(j)
-                vals.append(a)
-    if dense:
+        width = off[max(N - d + 1, 0)]
+        k, rk = level[:width], r[:width]
+        rows.append(off[k + d] + (rank * n**k + rk if side == LEFT else rk * n**d + rank))
+        cols.append(np.arange(width))
+        vals.append(np.full(width, a, dtype=complex))
+    if size <= DENSE_CAP:
+        m = np.zeros((size, size), dtype=complex)
+        for i, j, v in zip(rows, cols, vals):
+            m[i, j] += v
         return m
-    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size), dtype=complex)
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(size, size), dtype=complex)
 
 
 # -- constructors ------------------------------------------------------------
@@ -301,9 +301,9 @@ def _spectral_norm(m) -> float:
                 warnings.warn("power iteration did not converge in 200 steps; "
                               "the spectral norm estimate may be low", RuntimeWarning)
                 return float(np.sqrt(val))
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    # all-zero rows and columns carry no singular value
+    m = m[np.ix_(m.any(axis=1), m.any(axis=0))]
+    return float(np.linalg.norm(m, 2)) if m.size else 0.0
 
 
 def op_norm(X: TruncOp) -> float:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,29 @@ def test_apply_series_requires_contraction():
     big = series_to_op(FreeSeries.delta(2, word(1), 2.0), 2, 4)
     with pytest.raises(ValueError):
         apply_series(harmonic_series(3), big)
+    # symbol bound 1.2 > 1, so the compression norm decides; it is above 1 too
+    X = series_to_op(FreeSeries.make(2, {word(): 0.6, word(1): 0.6}), 2, 4)
+    with pytest.raises(ValueError, match="compression norm"):
+        apply_series(harmonic_series(3), X)
+
+
+def test_apply_series_accepts_symbol_bound_without_materializing(monkeypatch):
+    X = L_op(1, N=4)
+    apply_series(harmonic_series(3), X)
+    assert X._matrix is None
+    monkeypatch.setenv("FOCKALG_BASIS_CAP", "100")
+    X = L_op(1, N=12)  # basis 8191 over the cap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        apply_series(harmonic_series(3), X)
+    assert X._matrix is None
+
+
+def test_apply_series_warns_when_contraction_unchecked(monkeypatch):
+    monkeypatch.setenv("FOCKALG_BASIS_CAP", "100")
+    X = series_to_op(FreeSeries.make(2, {word(): 0.6, word(1): 0.6}), 2, 12)
+    with pytest.warns(RuntimeWarning, match="contraction unchecked"):
+        apply_series(harmonic_series(3), X)
 
 
 def test_context_power_consistency():

@@ -238,6 +238,83 @@ def test_sparse_materialization_path():
         X.dense()
 
 
+def _materialize_by_columns(symbol, side, n, N, idx):
+    # reference: the per-column loop of word_at -> concat -> index_of
+    size = idx.size
+    dense = size <= operators.DENSE_CAP
+    if dense:
+        m = np.zeros((size, size), dtype=complex)
+    else:
+        rows, cols, vals = [], [], []
+    for w, a in symbol.coeffs.items():
+        for j in range(idx.level_offset(N - len(w) + 1)):
+            v = idx.word_at(j)
+            i = idx.index_of(concat(w, v) if side == "left" else concat(v, w))
+            if dense:
+                m[i, j] += a
+            else:
+                rows.append(i)
+                cols.append(j)
+                vals.append(a)
+    if dense:
+        return m
+    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size), dtype=complex)
+
+
+def _assert_same_matrix(got, want):
+    assert sp.issparse(got) == sp.issparse(want) and got.dtype == want.dtype
+    if sp.issparse(want):
+        for field in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    else:
+        assert np.array_equal(got, want)
+
+
+def _symbol_from_draw(n, N, seed, words, constant, full):
+    rng = np.random.default_rng(seed)
+    support = {Word(tuple(t)) for t in words}
+    if constant:
+        support.add(Word())
+    if full:
+        support.add(Word(tuple(int(a) for a in rng.integers(1, n + 1, size=N))))
+    return FreeSeries.make(n, {w: complex(rng.standard_normal(), rng.standard_normal())
+                               for w in sorted(support, key=lambda w: (len(w), w.letters))})
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), n=st.sampled_from([1, 2, 3]), side=st.sampled_from(["left", "right"]),
+       seed=st.integers(0, 2**32 - 1), constant=st.booleans(), full=st.booleans())
+def test_materialize_matches_column_loop(data, n, side, seed, constant, full):
+    N = data.draw(st.integers(0, {1: 20, 2: 8, 3: 5}[n]), label="N")  # dense arm
+    words = data.draw(st.lists(st.lists(st.integers(1, n), max_size=N), max_size=4), label="words")
+    s = _symbol_from_draw(n, N, seed, words, constant, full)
+    idx = BasisIndexer(n, N)
+    _assert_same_matrix(operators._materialize(s, side, n, N, idx),
+                        _materialize_by_columns(s, side, n, N, idx))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_materialize_matches_column_loop_sparse(side):
+    n, N = 2, 12  # basis 8191 > dense cap
+    idx = BasisIndexer(n, N)
+    for seed, words in enumerate([[], [(1,), (2, 1, 2)], [(2,) * 5, (1, 2), (2, 1)]]):
+        s = _symbol_from_draw(n, N, seed, words, constant=seed > 0, full=seed > 1)
+        _assert_same_matrix(operators._materialize(s, side, n, N, idx),
+                            _materialize_by_columns(s, side, n, N, idx))
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), cols=st.integers(1, 40))
+def test_spectral_norm_of_trimmed_block(seed, rows, cols):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    m[rng.random(rows) < 0.4, :] = 0
+    m[:, rng.random(cols) < 0.4] = 0
+    want = np.linalg.norm(m, 2)
+    assert abs(operators._spectral_norm(m) - want) <= 1e-13 * max(1.0, want)
+    assert operators._spectral_norm(np.zeros((rows, cols), dtype=complex)) == 0.0
+
+
 # -- commutant ----------------------------------------------------------------
 
 

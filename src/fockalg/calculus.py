@@ -32,6 +32,7 @@ from .operators import (
     fourier_of,
     op_norm,
     series_to_op,
+    symbol_norm_bound,
 )
 from .report import Report
 from .words import BasisCapExceeded, BasisIndexer, Word, concat, enumerate_words
@@ -59,12 +60,7 @@ class CalculusContext:
 
 
 def _require_contraction(X: TruncOp, tol: float = CONTRACTION_TOL) -> None:
-    # ||sum a_w L_w|| <= sum_d (sum_{|w|=d} |a_w|^2)^{1/2}, as the L_w (or R_w)
-    # with |w| = d are isometries with orthogonal ranges
-    levels: dict[int, float] = {}
-    for w, a in X.symbol.coeffs.items():
-        levels[len(w)] = levels.get(len(w), 0.0) + abs(a) ** 2
-    bound = sum(math.sqrt(v) for v in levels.values())
+    bound = symbol_norm_bound(X.symbol)
     if bound <= 1 + tol:
         return
     try:
@@ -356,7 +352,11 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
     full compressions.  When the updated factor is projected (divided by its
     sigma_max), the discarded scale is carried into the other factor; the
     product is invariant under (tB, C/t), so the carry keeps the objective
-    monotone where a bare projection stalls.  Both factors are projected once
+    monotone where a bare projection stalls.  After 80 sweeps a run stops as
+    soon as the last 40 sweeps fail to halve the residual: a converging run
+    halves it well within 40 sweeps, while runs that end far from L_w sit in
+    a swamp where it decays like 1/k, and (k - 40)/k >= 1/2 for every k >= 80
+    cuts them at the first check.  Both factors are projected once
     more at the end, so every reported candidate is feasible.  Restarts use
     independently derived seeds, making the output deterministic for a given
     (seed, restarts) regardless of scheduling.
@@ -391,8 +391,9 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
             history.append(res)
             if res < 1e-13:
                 break
-            # crawling tails improve by well under 3% per 40 sweeps; cut them
-            if it >= 80 and history[-40] - res < 0.03 * res:
+            # a converging run halves its residual well within 40 sweeps; a
+            # swamp decaying like 1/k does not, as (k - 40)/k >= 1/2 for k >= 80
+            if it >= 80 and res > 0.5 * history[-40]:
                 break
         # rebalance the (tB, C/t) gauge before the final feasibility projection
         # so the projection is as close to lossless as the product allows

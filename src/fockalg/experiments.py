@@ -432,11 +432,10 @@ def exp_eigenvector(lam_tuple: tuple[complex, ...] | None = None, n: int = 2,
     for i in range(1, n + 1):
         lhs = creation_op(RIGHT, Word((i,)), n, N).apply_adjoint(vec)
         want = lam_tuple[i - 1].conjugate()
-        dev = 0.0
-        for k in range(N):
-            for w in enumerate_words(n, k):
-                dev = max(dev, abs(lhs.coeff(w) - want * vec.coeff(w)))
-        residuals.append(dev)
+        # over the words shorter than N stored in either vector; the rest give 0
+        pairs = [(lhs.coeff(w), a) for w, a in vec.coeffs.items() if len(w) < N]
+        pairs += [(lhs.coeffs[w], 0j) for w in lhs.coeffs.keys() - vec.coeffs.keys()]
+        residuals.append(max((abs(x - want * y) for x, y in pairs), default=0.0))
     eigen_residual = max(residuals)
     verdict = eigen_residual <= tol
     return Report(

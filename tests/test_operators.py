@@ -30,6 +30,7 @@ from fockalg.operators import (
     range_complement_level_dims,
     recompose,
     series_to_op,
+    symbol_norm_bound,
 )
 from fockalg.words import BasisIndexer, Word, concat, enumerate_words, word
 
@@ -388,6 +389,32 @@ def test_orbit_binomial_bound(lam):
             )
             assert val <= bound + 1e-12
             assert bound <= loose + 1e-12
+
+
+def test_orbit_warns_when_compression_norm_unchecked(monkeypatch):
+    monkeypatch.setenv("FOCKALG_BASIS_CAP", "100")
+    xi = FockVector.basis(2, 12, Word())
+    L = series_to_op(FreeSeries.make(2, {Word(): 0.6, word(1): 0.6}), 2, 12)  # bound 1.2
+    with pytest.warns(RuntimeWarning, match="compression norm unchecked"):
+        orbit = adjoint_power_orbit(L, xi, 3)
+    assert orbit[1] == pytest.approx(0.6)
+    # a bound <= 1 settles the check without materializing, so nothing warns
+    L = series_to_op(FreeSeries.make(2, {word(1): 0.6, word(2): 0.8}), 2, 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        adjoint_power_orbit(L, xi, 3)
+    assert L._matrix is None
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), degree=st.integers(0, 3))
+def test_symbol_norm_bound(seed, degree):
+    rng = np.random.default_rng(seed)
+    s = random_series(rng, 2, degree, 6)
+    assert op_norm(series_to_op(s, 2, 5)) <= symbol_norm_bound(s) * (1 + 1e-12)
+    # homogeneous symbols are scaled isometries: the bound is the norm
+    h = FreeSeries.make(2, {w: complex(*rng.standard_normal(2)) for w in enumerate_words(2, degree)})
+    assert abs(op_norm(series_to_op(h, 2, 5)) - symbol_norm_bound(h)) <= 1e-12 * symbol_norm_bound(h)
 
 
 # -- cesaro ------------------------------------------------------------------

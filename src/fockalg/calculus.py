@@ -60,17 +60,21 @@ class CalculusContext:
 
 
 def _require_contraction(X: TruncOp, tol: float = CONTRACTION_TOL) -> None:
+    """Accept X only from the symbol bound, an upper bound on its norm; the
+    compression norm bounds it from below, so it can only reject X."""
     bound = symbol_norm_bound(X.symbol)
     if bound <= 1 + tol:
         return
     try:
         nrm = op_norm(X)
     except BasisCapExceeded:
-        warnings.warn(f"contraction unchecked: symbol bound {bound:.6f} > 1 + {tol} "
-                      "and the compression is over the basis cap", RuntimeWarning, stacklevel=3)
-        return
-    if nrm > 1 + tol:
-        raise ValueError(f"operator has compression norm {nrm:.6f} > 1 + {tol}")
+        reason = "the compression is over the basis cap"
+    else:
+        if nrm > 1 + tol:
+            raise ValueError(f"operator has compression norm {nrm:.6f} > 1 + {tol}")
+        reason = f"the compression norm {nrm:.6f} is only a lower bound"
+    warnings.warn(f"contraction unchecked: symbol bound {bound:.6f} > 1 + {tol} and {reason}",
+                  RuntimeWarning, stacklevel=3)
 
 
 def apply_series(h: ScalarSeries, X: TruncOp, tol: float = CONTRACTION_TOL) -> TruncOp:
@@ -114,7 +118,7 @@ def check_isometric_on_frontier(X: TruncOp, tol: float = 1e-9) -> None:
 
 
 def h2_times_isometry(h: ScalarSeries, X: TruncOp, L: TruncOp,
-                      tol: float = ORTHOGONALITY_TOL, check: bool = True) -> TruncOp:
+                      tol: float = ORTHOGONALITY_TOL) -> TruncOp:
     """sum_k h_k X^k L; isometric in h when the ranges of X^k L are orthogonal.
 
     The orthogonality hypothesis is checked on sampled probe vectors (the
@@ -123,25 +127,22 @@ def h2_times_isometry(h: ScalarSeries, X: TruncOp, L: TruncOp,
     """
     if not (X.is_symbolic and L.is_symbolic and X.side == L.side == LEFT):
         raise ValueError("series times isometry needs left-symbol operators")
-    if check:
-        check_isometric_on_frontier(X)
-        check_isometric_on_frontier(L)
-        degs = max(1, X.symbol.degree())
-        kchk = min(h.order, max(0, (X.N - L.symbol.degree()) // degs))
-        probe_level = max(0, min(X.frontier, L.frontier, 2))
-        for xi in _probe_vectors(X.n, X.N, probe_level):
-            images = []
-            y = L.apply(xi)
-            for _ in range(kchk + 1):
-                images.append(y)
-                y = X.apply(y)
-            for j in range(len(images)):
-                for k in range(j + 1, len(images)):
-                    ov = abs(inner(images[j], images[k]))
-                    if ov > tol:
-                        raise ValueError(
-                            f"ranges of X^{j} L and X^{k} L overlap (|<.,.>| = {ov:.3e})"
-                        )
+    check_isometric_on_frontier(X)
+    check_isometric_on_frontier(L)
+    degs = max(1, X.symbol.degree())
+    kchk = min(h.order, max(0, (X.N - L.symbol.degree()) // degs))
+    probe_level = max(0, min(X.frontier, L.frontier, 2))
+    for xi in _probe_vectors(X.n, X.N, probe_level):
+        images = []
+        y = L.apply(xi)
+        for _ in range(kchk + 1):
+            images.append(y)
+            y = X.apply(y)
+        for j in range(len(images)):
+            for k in range(j + 1, len(images)):
+                ov = abs(inner(images[j], images[k]))
+                if ov > tol:
+                    raise ValueError(f"ranges of X^{j} L and X^{k} L overlap (|<.,.>| = {ov:.3e})")
     acc = FreeSeries.zero(X.n)
     ctx = CalculusContext(X, h.order)
     for k in range(h.order + 1):
@@ -242,7 +243,7 @@ def irreducibility_hypothesis(s: FreeSeries, i: int, form: str = "strict") -> bo
         raise ValueError("series must have unit coefficient l2-norm")
     if s.coeff(Word()) != 0:
         raise ValueError("series must have vanishing constant coefficient")
-    ending = [w for w in s.coeffs if len(w) > 0 and w.letters[-1] == i]
+    ending = [w for w in s.coeffs if len(w) > 0 and w[-1] == i]
     if len(ending) != 1:
         return False
     return ending[0] == Word((i,)) if form == "strict" else True
@@ -281,8 +282,8 @@ def classify_word_factorization(b: FreeSeries, c: FreeSeries, w: Word) -> tuple[
     csq = c.l2_norm() ** 2
     best = None
     for cut in range(len(w) + 1):
-        u = Word(w.letters[:cut])
-        v = Word(w.letters[cut:])
+        u = Word(w[:cut])
+        v = Word(w[cut:])
         bu = b.coeff(u)
         cv = c.coeff(v)
         s = bu + cv.conjugate()

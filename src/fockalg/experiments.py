@@ -223,7 +223,7 @@ def exp_thin_isometry(n: int = 2, kmax: int = 2, N: int | None = None,
     for k in range(kmax + 1):
         piece = {}
         for w in enumerate_words(n, k):
-            piece[Word(w.letters + w.letters + (2,) + (1,) * k)] = 1.0
+            piece[Word(w + w + (2,) + (1,) * k)] = 1.0
         xknorm = math.sqrt(len(piece))
         xk_norms.append(xknorm)
         scale = 2.0 ** (-(k + 1) / 2.0) / xknorm
@@ -290,10 +290,6 @@ def exp_thin_isometry(n: int = 2, kmax: int = 2, N: int | None = None,
     )
 
 
-def _min_support_word(s: FreeSeries) -> Word:
-    return min(s.coeffs, key=lambda w: (len(w), w.letters))
-
-
 def exp_ideal_counterexample(a: FreeSeries | None = None, n: int = 2, N: int = 12,
                              m_small: int = 10, m_large: int = 1000,
                              grid: int = 2048, tol: float = 1e-12) -> Report:
@@ -304,12 +300,12 @@ def exp_ideal_counterexample(a: FreeSeries | None = None, n: int = 2, N: int = 1
         a = FreeSeries.make(2, {Z1: 0.8, Word((2, 2)): 0.6})
     if not a.coeffs:
         raise ValueError("need a nonzero finitely supported coefficient vector")
-    v = _min_support_word(a)
+    v = a.support()[0]
     lam = [IDEAL_SCALE / (k + 1) for k in range(N + 1)]
     jcoeffs: dict[Word, complex] = {}
     for w, aw in a.coeffs.items():
         for k in range(N - len(w)):
-            t = Word(w.letters + (2,) + (1,) * k)
+            t = Word(w + (2,) + (1,) * k)
             jcoeffs[t] = jcoeffs.get(t, 0.0) + aw * lam[k]
     J = series_to_op(FreeSeries.make(n, jcoeffs), n, N)
     Lv = creation_op(LEFT, v, n, N)
@@ -320,7 +316,7 @@ def exp_ideal_counterexample(a: FreeSeries | None = None, n: int = 2, N: int = 1
     for j in range(jmax + 1):
         y = J.apply(FockVector.basis(n, N, Word((1,) * j)))
         y = L2.apply_adjoint(Lv.apply_adjoint(y))
-        chain = {len(t): c for t, c in y.coeffs.items() if set(t.letters) <= {1}}
+        chain = {len(t): c for t, c in y.coeffs.items() if set(t) <= {1}}
         for m in range(j, jmax + 1):
             want = a.coeff(v) * lam[m - j]
             got = chain.get(m, 0.0)
@@ -423,7 +419,7 @@ def exp_eigenvector(lam_tuple: tuple[complex, ...] | None = None, n: int = 2,
         nxt = {}
         for w, c in level.items():
             for i in range(1, n + 1):
-                nxt[Word(w.letters + (i,))] = c * lam_tuple[i - 1].conjugate()
+                nxt[Word(w + (i,))] = c * lam_tuple[i - 1].conjugate()
         coeffs.update(nxt)
         level = nxt
     raw = FockVector.make(n, N, {w: c for w, c in coeffs.items() if c != 0})

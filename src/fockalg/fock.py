@@ -104,7 +104,7 @@ class FreeSeries:
         return max((len(w) for w in self.coeffs), default=0)
 
     def support(self) -> list[Word]:
-        return sorted(self.coeffs, key=lambda w: (len(w), w.letters))
+        return sorted(self.coeffs, key=lambda w: (len(w), w))
 
     def l2_norm(self) -> float:
         return float(np.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values())))
@@ -187,11 +187,10 @@ class FockVector(FreeSeries):
 
     norm = FreeSeries.l2_norm
 
-    def to_dense(self, indexer: BasisIndexer | None = None) -> np.ndarray:
-        idx = indexer or BasisIndexer(self.n, self.N)
-        vec = np.zeros(idx.size, dtype=complex)
+    def to_dense(self, indexer: BasisIndexer) -> np.ndarray:
+        vec = np.zeros(indexer.size, dtype=complex)
         for w, c in self.coeffs.items():
-            vec[idx.index_of(w)] = c
+            vec[indexer.index_of(w)] = c
         return vec
 
     @staticmethod

@@ -18,7 +18,6 @@ level N silently corrupts products and adjoints outside it.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from typing import Optional
@@ -31,6 +30,7 @@ from .fock import FockVector, FreeSeries, convolve
 from .words import BasisCapExceeded, BasisIndexer, Word, enumerate_words, strip_prefix, strip_suffix
 
 DENSE_CAP = 4096
+RANK_FLOOR = 1e-12
 
 LEFT = "left"
 RIGHT = "right"
@@ -147,9 +147,11 @@ def _materialize(symbol: FreeSeries, side: str, n: int, N: int, idx: BasisIndexe
     rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
     for w, a in symbol.coeffs.items():
         d = len(w)
-        rank = functools.reduce(lambda t, letter: t * n + letter - 1, w.letters, 0)
+        if d > N:
+            continue  # every column overflows
+        rank = idx.index_of(w) - idx.level_offset(d)
         # columns at levels > N - d overflow and stay zero
-        width = off[max(N - d + 1, 0)]
+        width = off[N - d + 1]
         k, rk = level[:width], r[:width]
         rows.append(off[k + d] + (rank * n**k + rk if side == LEFT else rk * n**d + rank))
         cols.append(np.arange(width))
@@ -227,8 +229,8 @@ def decompose_at(s: FreeSeries, k: int) -> tuple[dict[Word, complex], dict[Word,
         if len(t) < k:
             scalars[t] = a
         else:
-            w = Word(t.letters[:k])
-            v = Word(t.letters[k:])
+            w = Word(t[:k])
+            v = Word(t[k:])
             corner_coeffs[w][v] = a
     corners = {w: FreeSeries(s.n, cs) for w, cs in corner_coeffs.items()}
     return scalars, corners
@@ -323,19 +325,19 @@ def op_norm(X: TruncOp) -> float:
     return _spectral_norm(X.matrix)
 
 
-def numerical_rank(m: np.ndarray, tol: float = 1e-9, floor: float = 1e-12) -> int:
+def numerical_rank(m: np.ndarray, tol: float = 1e-9) -> int:
     """Count singular values >= tol * sigma_max.
 
-    The absolute floor stops a numerically-zero matrix (sigma_max at roundoff
-    scale) from ranking its own noise; in-scope matrices carry O(1) singular
-    values with wide gaps.
+    The absolute floor RANK_FLOOR stops a numerically-zero matrix (sigma_max
+    at roundoff scale) from ranking its own noise; in-scope matrices carry
+    O(1) singular values with wide gaps.
     """
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] <= floor:
+    if s.size == 0 or s[0] <= RANK_FLOOR:
         return 0
-    return int(np.sum(s >= max(tol * s[0], floor)))
+    return int(np.sum(s >= max(tol * s[0], RANK_FLOOR)))
 
 
 def commutant_residual(X: TruncOp) -> float:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 DEFAULT_BASIS_CAP = 10**6
 CAP_ENV_VAR = "FOCKALG_BASIS_CAP"
@@ -27,60 +26,61 @@ def basis_cap() -> int:
     return int(raw) if raw else DEFAULT_BASIS_CAP
 
 
-@dataclass(frozen=True)
-class Word:
-    """Immutable word over letters 1..n; ``Word()`` is the unit."""
+class Word(tuple):
+    """Immutable word over letters 1..n; ``Word()`` is the unit.
 
-    letters: tuple[int, ...] = ()
+    A word is the tuple of its letters: it equals that tuple and hashes the
+    same.  Slices and ``+`` give plain tuples; wrap them in ``Word`` again."""
 
+    __slots__ = ()
+
+    def __new__(cls, letters: Iterable[int] = ()) -> "Word":
+        self = super().__new__(cls, letters)
+        self.__post_init__()
+        return self
+
+    # The letter check keeps its name from when Word was a dataclass: the
+    # benchmark's tracer counts word constructions by wrapping it.
     def __post_init__(self):
-        for a in self.letters:
+        for a in self:
             if not isinstance(a, int) or a < 1:
                 raise ValueError(f"letters must be integers >= 1, got {a!r}")
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
+    @property
+    def letters(self) -> tuple[int, ...]:
+        return tuple(self)
 
     def __str__(self) -> str:
-        return " ".join(f"z{a}" for a in self.letters)
+        return " ".join(f"z{a}" for a in self)
 
     def __repr__(self) -> str:
         return f"Word({str(self) or '1'})"
 
     def max_letter(self) -> int:
-        return max(self.letters, default=1)
+        return max(self, default=1)
 
     @staticmethod
     def parse(text: str) -> "Word":
         """Inverse of ``str``: tokens like "z1 z2 z1"; empty string is the unit."""
-        text = text.strip()
-        if not text:
-            return Word()
         letters = []
         for tok in text.split():
             if not tok.startswith("z"):
                 raise ValueError(f"bad word token {tok!r}")
             letters.append(int(tok[1:]))
-        return Word(tuple(letters))
-
-
-EMPTY = Word()
+        return Word(letters)
 
 
 def word(*letters: int) -> Word:
-    return Word(tuple(letters))
+    return Word(letters)
 
 
 def concat(u: Word, v: Word) -> Word:
     """The semigroup product uv (u followed by v)."""
-    return Word(u.letters + v.letters)
+    return Word(u + v)
 
 
 def reverse(w: Word) -> Word:
-    return Word(w.letters[::-1])
+    return Word(w[::-1])
 
 
 def strip_suffix(w: Word, u: Word) -> Optional[Word]:
@@ -88,9 +88,9 @@ def strip_suffix(w: Word, u: Word) -> Optional[Word]:
     k = len(u)
     if k == 0:
         return w
-    if len(w) < k or w.letters[-k:] != u.letters:
+    if len(w) < k or w[-k:] != u:
         return None
-    return Word(w.letters[:-k])
+    return Word(w[:-k])
 
 
 def strip_prefix(w: Word, u: Word) -> Optional[Word]:
@@ -98,16 +98,16 @@ def strip_prefix(w: Word, u: Word) -> Optional[Word]:
     k = len(u)
     if k == 0:
         return w
-    if len(w) < k or w.letters[:k] != u.letters:
+    if len(w) < k or w[:k] != u:
         return None
-    return Word(w.letters[k:])
+    return Word(w[k:])
 
 
-def enumerate_words(n: int, k: int, cap: Optional[int] = None) -> list[Word]:
+def enumerate_words(n: int, k: int) -> list[Word]:
     """All n^k words of length exactly k, lexicographically ordered."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    limit = cap if cap is not None else basis_cap()
+    limit = basis_cap()
     if n**k > limit:
         raise BasisCapExceeded(f"n^k = {n**k} exceeds cap {limit}")
     return [Word(t) for t in itertools.product(range(1, n + 1), repeat=k)]
@@ -120,12 +120,12 @@ class BasisIndexer:
     contiguous range [offset(k), offset(k+1)).
     """
 
-    def __init__(self, n: int, N: int, cap: Optional[int] = None):
+    def __init__(self, n: int, N: int):
         if n < 1 or N < 0:
             raise ValueError("need n >= 1 and N >= 0")
         self.n = n
         self.N = N
-        limit = cap if cap is not None else basis_cap()
+        limit = basis_cap()
         self._offsets = [0]
         for k in range(N + 1):
             self._offsets.append(self._offsets[-1] + n**k)
@@ -147,7 +147,7 @@ class BasisIndexer:
         if k > self.N:
             raise ValueError(f"word length {k} exceeds truncation {self.N}")
         rank = 0
-        for a in w.letters:
+        for a in w:
             if a > self.n:
                 raise ValueError(f"letter {a} out of alphabet 1..{self.n}")
             rank = rank * self.n + (a - 1)
@@ -164,10 +164,9 @@ class BasisIndexer:
         for pos in range(k - 1, -1, -1):
             letters[pos] = rank % self.n + 1
             rank //= self.n
-        return Word(tuple(letters))
+        return Word(letters)
 
     def words(self) -> Iterator[Word]:
         """All basis words in index order."""
         for k in range(self.N + 1):
-            for t in itertools.product(range(1, self.n + 1), repeat=k):
-                yield Word(t)
+            yield from enumerate_words(self.n, k)

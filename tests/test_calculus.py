@@ -88,6 +88,16 @@ def test_apply_series_warns_when_contraction_unchecked(monkeypatch):
         apply_series(harmonic_series(3), X)
 
 
+def test_apply_series_contraction_needs_an_upper_bound():
+    # sup|0.52 + 0.5 z| = 1.02 is the norm; the symbol bound is 1.02 too, while
+    # the compression norms at N=4 (0.979) and N=8 (1.006) bound it from below
+    s = FreeSeries.make(2, {word(): 0.52, word(1): 0.5})
+    with pytest.warns(RuntimeWarning, match="contraction unchecked"):
+        apply_series(harmonic_series(3), series_to_op(s, 2, 4))
+    with pytest.raises(ValueError, match="compression norm"):
+        apply_series(harmonic_series(3), series_to_op(s, 2, 8))
+
+
 def test_context_power_consistency():
     X = series_to_op(FreeSeries.make(2, {word(1): 0.6, word(2): 0.8}), 2, 6)
     ctx = CalculusContext(X, 4)

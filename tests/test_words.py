@@ -1,7 +1,12 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_series
+from fockalg.calculus import classify_word_factorization
+from fockalg.fock import FockVector
+from fockalg.operators import LEFT, RIGHT, decompose_at, series_to_op
 from fockalg.words import (
     BasisCapExceeded,
     BasisIndexer,
@@ -82,7 +87,7 @@ def test_enumerate_count_law(n, k):
 
 def test_enumerate_cap():
     with pytest.raises(BasisCapExceeded):
-        enumerate_words(10, 7, cap=10**6)
+        enumerate_words(10, 7)
 
 
 def test_indexer_roundtrip_and_order():
@@ -120,6 +125,37 @@ def test_word_string_roundtrip():
     assert Word.parse("") == Word()
     with pytest.raises(ValueError):
         Word.parse("x1")
+
+
+def test_word_is_the_tuple_of_its_letters():
+    assert Word((1, 2)) == (1, 2)
+    assert hash(Word((1, 2))) == hash((1, 2))
+    assert repr(Word()) == "Word(1)" and repr(word(2, 1)) == "Word(z2 z1)"
+
+
+@settings(max_examples=40, deadline=None)
+@given(u=letters, v=letters, seed=st.integers(0, 2**32 - 1))
+def test_word_algebra_returns_words(u, v, seed):
+    """Every word the algebra hands out is a Word, never a bare tuple slice."""
+    rng = np.random.default_rng(seed)
+    n, N = 3, 6
+    uv = concat(u, v)
+    produced = [uv, strip_prefix(uv, u), strip_suffix(uv, v), reverse(uv)]
+    produced += enumerate_words(n, len(u) % 4)
+    s, t = random_series(rng, n, 3, 5), random_series(rng, n, 3, 5)
+    prod = s.mul(t)
+    produced += list(prod.coeffs)
+    xi = FockVector.make(n, N, random_series(rng, n, N, 8).coeffs)
+    for side in (LEFT, RIGHT):
+        X = series_to_op(s, n, N, side)
+        produced += list(X.apply(xi).coeffs) + list(X.apply_adjoint(xi).coeffs)
+    scalars, corners = decompose_at(prod, 2)
+    produced += list(scalars) + list(corners)
+    produced += [w for corner in corners.values() for w in corner.coeffs]
+    produced += list(classify_word_factorization(s, t, uv)[1])
+    for w in produced:
+        assert type(w) is Word, repr(w)
+        assert Word.parse(str(w)) == w
 
 
 def test_word_letter_validation():

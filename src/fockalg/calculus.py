@@ -28,25 +28,27 @@ from .operators import (
     FreeSeries,
     TruncOp,
     compose,
+    contraction_status,
     creation_op,
     fourier_of,
     op_norm,
     series_to_op,
-    symbol_norm_bound,
 )
 from .report import Report
-from .words import BasisCapExceeded, BasisIndexer, Word, concat, enumerate_words
+from .words import BasisIndexer, Word, concat, enumerate_words
 
-CONTRACTION_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-10
+ISOMETRY_TOL = 1e-9
+PROBE_SEED = 11
+REMARK_GRID = 512
+REMARK_MODULUS_TOL = 1e-6
 
 
 class CalculusContext:
     """Cache of powers X^0..X^K of a symbol-backed operator, used by series evaluation."""
 
     def __init__(self, X: TruncOp, K: int):
-        if not X.is_symbolic:
-            raise ValueError("series functional calculus needs a symbol-backed operator")
+        X._require_symbol("series functional calculus")
         self.X = X
         self.K = K
         self._powers = [series_to_op(FreeSeries.one(X.n), X.n, X.N, side=X.side)]
@@ -59,31 +61,22 @@ class CalculusContext:
         return self._powers[k]
 
 
-def _require_contraction(X: TruncOp, tol: float = CONTRACTION_TOL) -> None:
-    """Accept X only from the symbol bound, an upper bound on its norm; the
-    compression norm bounds it from below, so it can only reject X."""
-    bound = symbol_norm_bound(X.symbol)
-    if bound <= 1 + tol:
-        return
-    try:
-        nrm = op_norm(X)
-    except BasisCapExceeded:
-        reason = "the compression is over the basis cap"
-    else:
-        if nrm > 1 + tol:
-            raise ValueError(f"operator has compression norm {nrm:.6f} > 1 + {tol}")
-        reason = f"the compression norm {nrm:.6f} is only a lower bound"
-    warnings.warn(f"contraction unchecked: symbol bound {bound:.6f} > 1 + {tol} and {reason}",
-                  RuntimeWarning, stacklevel=3)
+def _require_contraction(X: TruncOp) -> None:
+    """Raise when contraction_status refutes ||X|| <= 1, warn when it leaves it unchecked."""
+    ok, reason = contraction_status(X)
+    if ok is False:
+        raise ValueError(f"operator has {reason}")
+    if ok is None:
+        warnings.warn(f"contraction unchecked: {reason}", RuntimeWarning, stacklevel=3)
 
 
-def apply_series(h: ScalarSeries, X: TruncOp, tol: float = CONTRACTION_TOL) -> TruncOp:
+def apply_series(h: ScalarSeries, X: TruncOp) -> TruncOp:
     """sum_{k<=K} h_k X^k for a symbol-backed contraction X.
 
     The frontier is the least frontier of the powers X^k that enter the sum.
     """
     ctx = CalculusContext(X, h.order)
-    _require_contraction(X, tol)
+    _require_contraction(X)
     acc = FreeSeries.zero(X.n)
     frontier = X.N
     for k in range(h.order + 1):
@@ -94,11 +87,11 @@ def apply_series(h: ScalarSeries, X: TruncOp, tol: float = CONTRACTION_TOL) -> T
     return TruncOp(X.n, X.N, symbol=acc, side=X.side, frontier=frontier)
 
 
-def _probe_vectors(n: int, N: int, max_level: int, seed: int = 11) -> list[FockVector]:
+def _probe_vectors(n: int, N: int, max_level: int) -> list[FockVector]:
     """Vacuum plus two random vectors supported on levels <= max_level."""
     probes = [FockVector.basis(n, N, Word())]
     level = max(0, max_level)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PROBE_SEED)
     for _ in range(2):
         coeffs = {}
         for k in range(level + 1):
@@ -109,16 +102,15 @@ def _probe_vectors(n: int, N: int, max_level: int, seed: int = 11) -> list[FockV
     return probes
 
 
-def check_isometric_on_frontier(X: TruncOp, tol: float = 1e-9) -> None:
+def check_isometric_on_frontier(X: TruncOp) -> None:
     if X.frontier < 0:
         raise ValueError("operator has empty exact region")
     for xi in _probe_vectors(X.n, X.N, min(X.frontier, 2)):
-        if abs(X.apply(xi).norm() - xi.norm()) > tol:
+        if abs(X.apply(xi).norm() - xi.norm()) > ISOMETRY_TOL:
             raise ValueError("operator is not isometric on its exact region")
 
 
-def h2_times_isometry(h: ScalarSeries, X: TruncOp, L: TruncOp,
-                      tol: float = ORTHOGONALITY_TOL) -> TruncOp:
+def h2_times_isometry(h: ScalarSeries, X: TruncOp, L: TruncOp) -> TruncOp:
     """sum_k h_k X^k L; isometric in h when the ranges of X^k L are orthogonal.
 
     The orthogonality hypothesis is checked on sampled probe vectors (the
@@ -141,7 +133,7 @@ def h2_times_isometry(h: ScalarSeries, X: TruncOp, L: TruncOp,
         for j in range(len(images)):
             for k in range(j + 1, len(images)):
                 ov = abs(inner(images[j], images[k]))
-                if ov > tol:
+                if ov > ORTHOGONALITY_TOL:
                     raise ValueError(f"ranges of X^{j} L and X^{k} L overlap (|<.,.>| = {ov:.3e})")
     acc = FreeSeries.zero(X.n)
     ctx = CalculusContext(X, h.order)
@@ -195,8 +187,8 @@ def range_orthogonality(X: TruncOp, Y: TruncOp, max_level: int | None = None) ->
     return worst
 
 
-def remark_pair(f: ScalarSeries, g: ScalarSeries, n: int = 2, N: int = 8,
-                grid: int = 512, tol: float = 1e-6) -> tuple[TruncOp, TruncOp]:
+def remark_pair(f: ScalarSeries, g: ScalarSeries, n: int = 2,
+                N: int = 8) -> tuple[TruncOp, TruncOp]:
     """Isometry L = L1 f(L1) + L2 g(L1) and its range-orthogonal companion
     X = (beta L1 L2 - lambda alpha L2^2) / (|alpha|^2 + |beta|^2).
 
@@ -205,12 +197,12 @@ def remark_pair(f: ScalarSeries, g: ScalarSeries, n: int = 2, N: int = 8,
     alpha beta = 0).  X is a scalar multiple of an isometry; its compression
     norm (|alpha|^2 + |beta|^2)^{-1/2} is measured, never assumed to be 1.
     """
-    theta = np.arange(grid) * (2.0 * math.pi / grid)
+    theta = np.arange(REMARK_GRID) * (2.0 * math.pi / REMARK_GRID)
     z = np.exp(1j * theta)
     fv = np.array([f.evaluate(t) for t in z])
     gv = np.array([g.evaluate(t) for t in z])
     worst = float(np.max(np.abs(np.abs(fv) ** 2 + np.abs(gv) ** 2 - 1.0)))
-    if worst > tol:
+    if worst > REMARK_MODULUS_TOL:
         raise ValueError(f"|f|^2 + |g|^2 deviates from 1 by {worst:.3e} on the circle")
     alpha = f.coeff(0)
     beta = g.coeff(0)

@@ -38,12 +38,17 @@ from .operators import (
     op_norm,
     range_complement_level_dims,
     series_to_op,
+    symbol_norm_bound,
 )
 from .report import Report
 from .words import BasisIndexer, Word, enumerate_words, reverse
 
 ZETA2 = math.pi**2 / 6.0  # sum_{k>=0} 1/(k+1)^2
 IDEAL_SCALE = 1.0 / math.sqrt(ZETA2)
+CERTIFICATE_TOL = 1e-6  # membership witness: a deviation above this certifies
+NEAR_RESIDUAL = 1e-6  # ball search: a candidate this close is a near factorization
+CLASSIFICATION_TOL = 1e-3  # ball search: distance to the word-split family
+FEASIBILITY_TOL = 1e-12  # ball search: slack on the factors' symbol bounds
 
 Z1 = Word((1,))
 Z2 = Word((2,))
@@ -102,8 +107,9 @@ def exp_adjoint_decay(lam: complex = 0.5, N: int = 4, kmax: int = 200,
                 "orbit_head": orbit[: min(6, len(orbit))],
             }
         vac_orbit = adjoint_power_orbit(L, FockVector.basis(n, N, Word()), kmax)
-    if caught:
+    if any(c.category is UserWarning for c in caught):
         notes.append("operator is expansive at this truncation; orbit still decays")
+    notes += sorted({str(c.message) for c in caught if c.category is not UserWarning})
     vac_dev = max(abs(v - abs(lam) ** k) for k, v in enumerate(vac_orbit))
     verdict = worst_violation <= 1e-12 and worst_final < tol and vac_dev <= 1e-12
     return Report(
@@ -353,8 +359,7 @@ def exp_ideal_counterexample(a: FreeSeries | None = None, n: int = 2, N: int = 1
 
 def exp_membership_witness(b_list: list[FreeSeries] | None = None,
                            c_list: list[FreeSeries] | None = None,
-                           K: int = 32, degree: int = 8, n: int = 2,
-                           cert_tol: float = 1e-6) -> Report:
+                           K: int = 32, degree: int = 8, n: int = 2) -> Report:
     """Necessary identity sum_i b^i_{z1^k} c^i_0 = 1/(k+1) for k <= K; any
     candidate list violating it cannot represent sum_k L1^k L2/(k+1) as
     sum_i B_i L2 C_i.  Polynomial diagonals always fail beyond their degree."""
@@ -377,7 +382,7 @@ def exp_membership_witness(b_list: list[FreeSeries] | None = None,
          for k in range(K + 1) if b.coeff(Word((1,) * k)) != 0]
         for b in b_list
     ]
-    verdict = max_dev > cert_tol
+    verdict = max_dev > CERTIFICATE_TOL
     return Report(
         name="membership-witness",
         params={"K": K, "p": len(b_list), "n": n},
@@ -388,7 +393,7 @@ def exp_membership_witness(b_list: list[FreeSeries] | None = None,
             "h_diagonals": h_series,
         },
         verdict=verdict,
-        tolerances={"certificate": cert_tol},
+        tolerances={"certificate": CERTIFICATE_TOL},
         anchors=["diagonal coefficient identity required of any ideal representation"],
         notes=["verdict 'pass' means the candidates are certified NOT to represent the target"],
     )
@@ -538,17 +543,21 @@ def exp_flip_examples(n: int = 2, N: int = 12, terms: int = 4096,
 
 
 def exp_ball_search(w: Word | None = None, degree: int = 2, n: int = 2,
-                    N: int = 5, restarts: int = 32, seed: int = 7,
-                    res_tol: float = 1e-6, class_tol: float = 1e-3) -> Report:
-    """Unit-ball factor search for L_w plus the norm-free witness pair."""
+                    N: int = 5, restarts: int = 32, seed: int = 7) -> Report:
+    """Unit-ball factor search for L_w plus the norm-free witness pair.
+
+    Feasibility of the near factors is certified by their symbol bounds,
+    which bound their norms from above; the largest compression norm over
+    all candidates is reported too, but as a lower bound it certifies nothing.
+    """
     if w is None:
         w = Word((1, 2))
     cands = search_ball_factorizations(w, degree, n, N, restarts=restarts, seed=seed)
-    near = [c for c in cands if c.residual <= res_tol]
-    classified_ok = all(c.manifold_distance <= class_tol for c in near)
-    feas = 0.0
-    for c in cands:
-        feas = max(feas, op_norm(series_to_op(c.b, n, N)), op_norm(series_to_op(c.c, n, N)))
+    near = [c for c in cands if c.residual <= NEAR_RESIDUAL]
+    classified_ok = all(c.manifold_distance <= CLASSIFICATION_TOL for c in near)
+    near_bound = max((symbol_norm_bound(f) for c in near for f in (c.b, c.c)), default=0.0)
+    compression_norm = max((op_norm(series_to_op(f, n, N)) for c in cands for f in (c.b, c.c)),
+                           default=0.0)
     splits = sorted({f"{cand.split[0]}|{cand.split[1]}" for cand in near})
 
     K = 24
@@ -558,7 +567,8 @@ def exp_ball_search(w: Word | None = None, degree: int = 2, n: int = 2,
     cser = FreeSeries.make(n, {Word((1,) * k + (2,)): 1.0 / (k + 1) for k in range(N)})
     witness_residual = factorization_residual(bser, cser, Z2, n, N)
 
-    verdict = bool(near) and classified_ok and feas <= 1 + 1e-12 and witness_residual <= 1e-9
+    verdict = (bool(near) and classified_ok and near_bound <= 1 + FEASIBILITY_TOL
+               and witness_residual <= 1e-9)
     candidate_rows = [
         {
             "restart": c.restart,
@@ -580,12 +590,13 @@ def exp_ball_search(w: Word | None = None, degree: int = 2, n: int = 2,
             "n_near": len(near),
             "near_candidates": candidate_rows,
             "splits_found": splits,
-            "max_factor_norm": feas,
+            "max_factor_compression_norm": compression_norm,
+            "max_near_factor_symbol_bound": near_bound,
             "witness_residual": witness_residual,
         },
         verdict=verdict,
-        tolerances={"residual": res_tol, "classification": class_tol,
-                    "witness_residual": 1e-9, "feasibility": 1e-12},
+        tolerances={"residual": NEAR_RESIDUAL, "classification": CLASSIFICATION_TOL,
+                    "witness_residual": 1e-9, "feasibility": FEASIBILITY_TOL},
         anchors=[
             "unit-ball factorizations of a word isometry collapse onto word splits",
             "norm-free reciprocal-series witness factors a single letter",

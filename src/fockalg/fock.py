@@ -138,14 +138,6 @@ class FreeSeries:
     def __sub__(self, other):
         return self.sub(other)
 
-    def __mul__(self, other):
-        if isinstance(other, FreeSeries):
-            return self.mul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def to_records(self) -> list[dict]:
         """Interchange form: one {word, re, im} record per nonzero coefficient."""
         return [{"word": str(w), "re": self.coeffs[w].real, "im": self.coeffs[w].imag}
@@ -192,13 +184,6 @@ class FockVector(FreeSeries):
         for w, c in self.coeffs.items():
             vec[indexer.index_of(w)] = c
         return vec
-
-    @staticmethod
-    def from_dense(vec: np.ndarray, indexer: BasisIndexer) -> "FockVector":
-        coeffs = {}
-        for i in np.nonzero(vec)[0]:
-            coeffs[indexer.word_at(int(i))] = complex(vec[i])
-        return FockVector(indexer.n, indexer.N, coeffs)
 
 
 def inner(xi: FockVector, eta: FockVector) -> complex:

@@ -9,6 +9,8 @@ realized on the basis {xi_w : |w| <= N} in one of two ways:
   basis could never be materialized,
 * matrix-backed: an explicit (dense or sparse) compression matrix, needed for
   SVD-style diagnostics and for operators that are not given by a symbol.
+  Such an operator is measured (norms, Fourier data, adjoints, products,
+  commutant) but not applied to vectors, added or scaled.
 
 Every operator carries its exactness frontier: the largest level m such that
 the action on vectors supported in levels <= m agrees with the untruncated
@@ -31,6 +33,7 @@ from .words import BasisCapExceeded, BasisIndexer, Word, enumerate_words, strip_
 
 DENSE_CAP = 4096
 RANK_FLOOR = 1e-12
+CONTRACTION_TOL = 1e-9
 
 LEFT = "left"
 RIGHT = "right"
@@ -83,34 +86,33 @@ class TruncOp:
             return m.toarray()
         return m
 
+    def _require_symbol(self, what: str) -> None:
+        if not self.is_symbolic:
+            raise ValueError(f"{what} needs a symbol-backed operator; "
+                             "matrix-backed operators are only measured")
+
     # -- vector action ------------------------------------------------------
 
     def apply(self, xi: FockVector) -> FockVector:
         if (xi.n, xi.N) != (self.n, self.N):
             raise ValueError("vector lives in a different truncated space")
-        if self.is_symbolic:
-            s = self.symbol.coeffs
-            out = convolve(s, xi.coeffs, self.N) if self.side == LEFT else convolve(xi.coeffs, s, self.N)
-            return FockVector.make(self.n, self.N, out)
-        idx = self.indexer()
-        return FockVector.from_dense(np.asarray(self.matrix @ xi.to_dense(idx)).ravel(), idx)
+        self._require_symbol("vector action")
+        s = self.symbol.coeffs
+        out = convolve(s, xi.coeffs, self.N) if self.side == LEFT else convolve(xi.coeffs, s, self.N)
+        return FockVector.make(self.n, self.N, out)
 
     def apply_adjoint(self, xi: FockVector) -> FockVector:
         if (xi.n, xi.N) != (self.n, self.N):
             raise ValueError("vector lives in a different truncated space")
-        if self.is_symbolic:
-            strip = strip_prefix if self.side == LEFT else strip_suffix
-            out: dict[Word, complex] = {}
-            for v, c in xi.coeffs.items():
-                for w, a in self.symbol.coeffs.items():
-                    t = strip(v, w)
-                    if t is not None:
-                        out[t] = out.get(t, 0.0) + a.conjugate() * c
-            return FockVector.make(self.n, self.N, out)
-        idx = self.indexer()
-        m = self.matrix
-        mh = m.conj().T if not sp.issparse(m) else m.conjugate().transpose()
-        return FockVector.from_dense(np.asarray(mh @ xi.to_dense(idx)).ravel(), idx)
+        self._require_symbol("vector action")
+        strip = strip_prefix if self.side == LEFT else strip_suffix
+        out: dict[Word, complex] = {}
+        for v, c in xi.coeffs.items():
+            for w, a in self.symbol.coeffs.items():
+                t = strip(v, w)
+                if t is not None:
+                    out[t] = out.get(t, 0.0) + a.conjugate() * c
+        return FockVector.make(self.n, self.N, out)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -120,23 +122,18 @@ class TruncOp:
 
     def __add__(self, other: "TruncOp") -> "TruncOp":
         self._same_space(other)
-        frontier = min(self.frontier, other.frontier)
-        if self.is_symbolic and other.is_symbolic and self.side == other.side:
-            return TruncOp(self.n, self.N, symbol=self.symbol.add(other.symbol), side=self.side,
-                           frontier=frontier)
-        return TruncOp(self.n, self.N, matrix=self.matrix + other.matrix, frontier=frontier)
+        if not (self.is_symbolic and other.is_symbolic and self.side == other.side):
+            raise ValueError("addition needs symbol-backed operators on the same side")
+        return TruncOp(self.n, self.N, symbol=self.symbol.add(other.symbol), side=self.side,
+                       frontier=min(self.frontier, other.frontier))
 
     def __sub__(self, other: "TruncOp") -> "TruncOp":
         return self + other.scale(-1.0)
 
     def scale(self, a: complex) -> "TruncOp":
-        if self.is_symbolic:
-            return TruncOp(self.n, self.N, symbol=self.symbol.scale(a), side=self.side,
-                           frontier=self.frontier)
-        return TruncOp(self.n, self.N, matrix=self.matrix * a, frontier=self.frontier)
-
-    def __rmul__(self, a) -> "TruncOp":
-        return self.scale(a)
+        self._require_symbol("scaling")
+        return TruncOp(self.n, self.N, symbol=self.symbol.scale(a), side=self.side,
+                       frontier=self.frontier)
 
 
 def _materialize(symbol: FreeSeries, side: str, n: int, N: int, idx: BasisIndexer):
@@ -325,6 +322,29 @@ def op_norm(X: TruncOp) -> float:
     return _spectral_norm(X.matrix)
 
 
+def contraction_status(X: TruncOp) -> tuple[Optional[bool], str]:
+    """Whether ||X|| <= 1 + CONTRACTION_TOL for a symbol-backed X, with the reason.
+
+    True only from symbol_norm_bound, an upper bound, without materializing;
+    False only when the compression norm, a lower bound, exceeds 1 + tol;
+    None (unchecked) when neither settles it: the compression is over the
+    basis cap, or its norm is at most 1 + tol and so decides nothing.
+    """
+    X._require_symbol("a contraction certificate")
+    bound = symbol_norm_bound(X.symbol)
+    if bound <= 1 + CONTRACTION_TOL:
+        return True, f"symbol bound {bound:.6f} <= 1 + {CONTRACTION_TOL}"
+    try:
+        nrm = op_norm(X)
+    except BasisCapExceeded:
+        reason = "the compression is over the basis cap"
+    else:
+        if nrm > 1 + CONTRACTION_TOL:
+            return False, f"compression norm {nrm:.6f} > 1 + {CONTRACTION_TOL}"
+        reason = f"the compression norm {nrm:.6f} is only a lower bound"
+    return None, f"symbol bound {bound:.6f} > 1 + {CONTRACTION_TOL} and {reason}"
+
+
 def numerical_rank(m: np.ndarray, tol: float = 1e-9) -> int:
     """Count singular values >= tol * sigma_max.
 
@@ -357,30 +377,21 @@ def commutant_residual(X: TruncOp) -> float:
     return worst
 
 
-def adjoint_power_orbit(L: TruncOp, xi: FockVector, kmax: int, tol: float = 1e-9) -> list[float]:
+def adjoint_power_orbit(L: TruncOp, xi: FockVector, kmax: int) -> list[float]:
     """The sequence ||(L*)^k xi|| for k = 0..kmax.
 
     Adjoints of symbol operators never raise levels, so the orbit is exact at
-    any truncation holding xi.  Inputs whose compression norm exceeds 1 are
-    flagged with a warning but still computed; the decay mechanism only needs
-    |a_0| < 1.  A symbol bound <= 1 + tol settles the check without
-    materializing; when it does not and the basis cap blocks the compression
-    norm, a RuntimeWarning says the norm went unchecked.
+    any truncation holding xi.  The orbit is computed whatever contraction_status
+    says, since the decay mechanism only needs |a_0| < 1; a norm above 1 warns
+    (UserWarning), and a norm the certificate leaves unchecked warns
+    RuntimeWarning("compression norm unchecked: ...").
     """
-    bound = symbol_norm_bound(L.symbol) if L.is_symbolic else math.inf
-    if bound > 1 + tol:
-        try:
-            nrm = op_norm(L)
-        except BasisCapExceeded:
-            warnings.warn(f"compression norm unchecked: symbol bound {bound:.6f} > 1 + {tol} "
-                          "and the compression is over the basis cap; orbit computed anyway",
-                          RuntimeWarning, stacklevel=2)
-        else:
-            if nrm > 1 + tol:
-                warnings.warn(
-                    f"operator has compression norm {nrm:.6f} > 1; orbit computed anyway",
-                    stacklevel=2,
-                )
+    ok, reason = contraction_status(L)
+    if ok is False:
+        warnings.warn(f"operator has {reason}; orbit computed anyway", stacklevel=2)
+    elif ok is None:
+        warnings.warn(f"compression norm unchecked: {reason}; orbit computed anyway",
+                      RuntimeWarning, stacklevel=2)
     vals = [xi.norm()]
     vec = xi
     for _ in range(kmax):
@@ -398,14 +409,11 @@ def cesaro_sum(s: FreeSeries, k: int) -> FreeSeries:
     )
 
 
-def defect_ranks(L: TruncOp, tol: float = 1e-9) -> tuple[int, int]:
-    """(rank(I - L L*), rank(I - L* L)) by singular values >= tol * sigma_max."""
+def defect_ranks(L: TruncOp) -> tuple[int, int]:
+    """(rank(I - L L*), rank(I - L* L)) by numerical_rank."""
     m = L.dense()
     eye = np.eye(m.shape[0], dtype=complex)
-    return (
-        numerical_rank(eye - m @ m.conj().T, tol),
-        numerical_rank(eye - m.conj().T @ m, tol),
-    )
+    return numerical_rank(eye - m @ m.conj().T), numerical_rank(eye - m.conj().T @ m)
 
 
 def range_complement_level_dims(L: TruncOp, k: int, tol: float = 1e-9) -> int:

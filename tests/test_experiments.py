@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fockalg import experiments as E
+from fockalg.calculus import FactorCandidate
 from fockalg.cli import main
 from fockalg.operators import FreeSeries
 from fockalg.report import Report
@@ -29,6 +30,13 @@ def test_adjoint_decay_defaults():
     assert rep.measurements["max_bound_violation"] <= 1e-12
     assert rep.measurements["compression_norm"] > 1.0  # expansive compression, flagged
     assert rep.notes
+
+
+def test_adjoint_decay_notes_an_unchecked_norm():
+    # at N=1 the compression norm of 1e-6 I + ~1 L_1 is 1 + 5e-13, under the
+    # symbol bound 1 + 1e-6: not expansive, and not shown to be a contraction
+    rep = E.exp_adjoint_decay(lam=1e-6, N=1)
+    assert len(rep.notes) == 1 and rep.notes[0].startswith("compression norm unchecked")
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.9])
@@ -192,10 +200,26 @@ def test_ball_search_quick():
     assert rep.verdict
     m = rep.measurements
     assert m["n_near"] >= 1
-    assert m["max_factor_norm"] <= 1 + 1e-12
+    assert m["max_near_factor_symbol_bound"] <= 1 + 1e-12
+    assert m["max_factor_compression_norm"] <= 1 + 1e-12
     assert m["witness_residual"] <= 1e-9
     for row in m["near_candidates"]:
         assert row["manifold_distance"] <= 1e-3
+
+
+def test_ball_search_feasibility_needs_an_upper_bound(monkeypatch):
+    # b = 0.52 + 0.5 z1 has norm sup|0.52 + 0.5 z| = 1.02, its symbol bound,
+    # while its compression norm at N=5 (0.990) stays below 1
+    b = FreeSeries.make(2, {Word(): 0.52, word(1): 0.5})
+    c = FreeSeries.delta(2, word(1, 2))
+    cand = FactorCandidate(b, c, 0.0, 0.0, (Word(), word(1, 2)), 1.0 + 0.0j, 1, 0)
+    monkeypatch.setattr(E, "search_ball_factorizations", lambda *args, **kwargs: [cand])
+    rep = E.exp_ball_search()
+    m = rep.measurements
+    assert m["n_near"] == 1
+    assert m["max_factor_compression_norm"] <= 1 + 1e-12  # 0.990 for b, 1 for c
+    assert m["max_near_factor_symbol_bound"] == pytest.approx(1.02)
+    assert not rep.verdict
 
 
 def test_experiment_determinism():

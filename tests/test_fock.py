@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fockalg.fock import FockVector, inner, project_level, random_vector
-from fockalg.words import BasisIndexer, Word, word
+from fockalg.words import Word, word
 
 
 def basis(w, n=2, N=3):
@@ -52,13 +52,6 @@ def test_random_vector_contract():
     assert abs(v1.norm() - 1.0) <= 1e-12
     assert v1.coeffs == random_vector(2, 3, 7).coeffs
     assert v1.coeffs != random_vector(2, 3, 8).coeffs
-
-
-def test_dense_roundtrip():
-    idx = BasisIndexer(2, 3)
-    xi = random_vector(2, 3, 11)
-    back = FockVector.from_dense(xi.to_dense(idx), idx)
-    assert max(abs(back.coeff(w) - xi.coeff(w)) for w in xi.coeffs) <= 1e-15
 
 
 def test_records_roundtrip():

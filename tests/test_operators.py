@@ -20,6 +20,7 @@ from fockalg.operators import (
     cesaro_sum,
     commutant_residual,
     compose,
+    contraction_status,
     creation_op,
     decompose_at,
     defect_ranks,
@@ -183,6 +184,18 @@ def test_right_compose_order():
     # R_a R_b xi_v = xi_{v b a}
     out = prod.apply(FockVector.basis(n, N, Word()))
     assert out.coeffs == {word(2, 1): 1.0}
+
+
+def test_matrix_backed_operator_is_only_measured():
+    X = series_to_op(FreeSeries.make(2, {Word(): 0.5, word(1): 0.5}), 2, 3)
+    M = op_from_matrix(X.dense(), 2, 3)
+    xi = FockVector.basis(2, 3, Word())
+    for act in (lambda: M.apply(xi), lambda: M.apply_adjoint(xi), lambda: M + M,
+                lambda: X + M, lambda: M.scale(2.0), lambda: contraction_status(M)):
+        with pytest.raises(ValueError, match="symbol-backed"):
+            act()
+    with pytest.raises(ValueError, match="same side"):
+        X + creation_op("right", word(1), 2, 3)
 
 
 def test_apply_matches_matrix(rng):
@@ -398,12 +411,47 @@ def test_orbit_warns_when_compression_norm_unchecked(monkeypatch):
     with pytest.warns(RuntimeWarning, match="compression norm unchecked"):
         orbit = adjoint_power_orbit(L, xi, 3)
     assert orbit[1] == pytest.approx(0.6)
+    # below the cap, a compression norm <= 1 (0.979) under a bound of 1.02 decides nothing
+    L = series_to_op(FreeSeries.make(2, {Word(): 0.52, word(1): 0.5}), 2, 4)
+    with pytest.warns(RuntimeWarning, match="compression norm unchecked.*lower bound"):
+        adjoint_power_orbit(L, FockVector.basis(2, 4, Word()), 3)
     # a bound <= 1 settles the check without materializing, so nothing warns
     L = series_to_op(FreeSeries.make(2, {word(1): 0.6, word(2): 0.8}), 2, 12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         adjoint_power_orbit(L, xi, 3)
     assert L._matrix is None
+
+
+# -- contraction certificate ---------------------------------------------------
+
+
+def test_contraction_status_true_from_symbol_bound_alone():
+    X = series_to_op(FreeSeries.make(2, {word(1): 0.6, word(2): 0.8}), 2, 4)
+    ok, reason = contraction_status(X)
+    assert ok is True and "symbol bound" in reason
+    assert X._matrix is None
+
+
+def test_contraction_status_false_from_compression_norm():
+    X = series_to_op(FreeSeries.make(2, {Word(): 0.6, word(1): 0.6}), 2, 4)
+    ok, reason = contraction_status(X)
+    assert ok is False and "compression norm" in reason
+
+
+def test_contraction_status_unchecked_over_basis_cap(monkeypatch):
+    monkeypatch.setenv("FOCKALG_BASIS_CAP", "100")
+    X = series_to_op(FreeSeries.make(2, {Word(): 0.6, word(1): 0.6}), 2, 12)
+    ok, reason = contraction_status(X)
+    assert ok is None and "basis cap" in reason
+
+
+def test_contraction_status_unchecked_from_lower_bound():
+    # norm and symbol bound 1.02; the compression norm at N=4 is 0.979
+    X = series_to_op(FreeSeries.make(2, {Word(): 0.52, word(1): 0.5}), 2, 4)
+    ok, reason = contraction_status(X)
+    assert ok is None and "only a lower bound" in reason
+    assert op_norm(X) == pytest.approx(0.979, abs=1e-3)
 
 
 @settings(deadline=None, max_examples=25)

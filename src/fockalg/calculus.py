@@ -345,14 +345,15 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
     full compressions.  When the updated factor is projected (divided by its
     sigma_max), the discarded scale is carried into the other factor; the
     product is invariant under (tB, C/t), so the carry keeps the objective
-    monotone where a bare projection stalls.  After 80 sweeps a run stops as
-    soon as the last 40 sweeps fail to halve the residual: a converging run
-    halves it well within 40 sweeps, while runs that end far from L_w sit in
-    a swamp where it decays like 1/k, and (k - 40)/k >= 1/2 for every k >= 80
-    cuts them at the first check.  Both factors are projected once
-    more at the end, so every reported candidate is feasible.  Restarts use
-    independently derived seeds, making the output deterministic for a given
-    (seed, restarts) regardless of scheduling.
+    monotone where a bare projection stalls.  After 20 sweeps a run stops as
+    soon as the last 10 sweeps fail to halve the residual: a converging run
+    halves it well within 10 sweeps, while runs that end far from L_w sit in
+    a swamp where it decays like 1/k, and (k - W)/k >= 1/2 for a window of W
+    sweeps once k >= 2W, so W = 10 cuts them at the first check, at sweep 21.
+    Both factors are projected once more at the end, so every reported
+    candidate is feasible.  Restarts use independently derived seeds, making
+    the output deterministic for a given (seed, restarts) regardless of
+    scheduling.
     """
     if not len(w) <= 2 * degree <= N:
         raise ValueError("need |w| <= 2*degree <= N")
@@ -384,9 +385,9 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
             history.append(res)
             if res < 1e-13:
                 break
-            # a converging run halves its residual well within 40 sweeps; a
-            # swamp decaying like 1/k does not, as (k - 40)/k >= 1/2 for k >= 80
-            if it >= 80 and res > 0.5 * history[-40]:
+            # a converging run halves its residual well within 10 sweeps; a
+            # swamp decaying like 1/k does not, as (k - 10)/k >= 1/2 for k >= 20
+            if it >= 20 and res > 0.5 * history[-10]:
                 break
         # rebalance the (tB, C/t) gauge before the final feasibility projection
         # so the projection is as close to lossless as the product allows

@@ -53,6 +53,7 @@ class TruncOp:
         self.symbol = symbol
         self.side = side if symbol is not None else None
         self._matrix = matrix
+        self._norm: Optional[float] = None
         if frontier is None:
             frontier = N - symbol.degree() if symbol is not None else N
         self.frontier = min(frontier, N)
@@ -318,8 +319,11 @@ def symbol_norm_bound(s: FreeSeries) -> float:
 
 def op_norm(X: TruncOp) -> float:
     """Largest singular value of the compression (a lower bound for the
-    norm of the untruncated operator, labelled 'compression norm' in reports)."""
-    return _spectral_norm(X.matrix)
+    norm of the untruncated operator, labelled 'compression norm' in reports).
+    Taken once per operator, like the matrix it is a function of."""
+    if X._norm is None:
+        X._norm = _spectral_norm(X.matrix)
+    return X._norm
 
 
 def contraction_status(X: TruncOp) -> tuple[Optional[bool], str]:

@@ -364,7 +364,7 @@ def _dense_design_als(w, degree, n, N, restarts, seed, max_iter=300):
             if sc > 1.0:
                 cvec, bvec = cvec / sc, bvec * sc
             history.append(float(np.linalg.norm(assemble(bvec) @ assemble(cvec) - target)))
-            if history[-1] < 1e-13 or (it >= 80 and history[-1] > 0.5 * history[-40]):
+            if history[-1] < 1e-13 or (it >= 20 and history[-1] > 0.5 * history[-10]):
                 break
         sb, sc = sigma(bvec), sigma(cvec)
         if sb > 0 and sc > 0:
@@ -391,11 +391,16 @@ def test_search_matches_dense_design_reference():
         assert (c.c - cs).sup_abs() <= 1e-10
 
 
-def test_stagnation_cut_leaves_near_runs_alone():
-    # with max_iter=80 the cut cannot fire, so near runs must come out the same
-    w, degree, n, N, restarts, seed = word(1, 2), 2, 2, 5, 32, 7
+@pytest.mark.parametrize("n, restarts, seed", [
+    pytest.param(2, 32, 7, id="seed7"),  # the run-all case: 22 near restarts, 10 far
+    pytest.param(2, 32, 4, id="seed4"),  # its slowest near restart takes 8 sweeps
+    pytest.param(3, 4, 0, id="n3"),  # every restart ends near
+])
+def test_stagnation_cut_leaves_near_runs_alone(n, restarts, seed):
+    # with max_iter=20 the cut cannot fire, so near runs must come out the same
+    w, degree, N = word(1, 2), 2, 5
     cut = search_ball_factorizations(w, degree, n, N, restarts=restarts, seed=seed)
-    uncut = search_ball_factorizations(w, degree, n, N, restarts=restarts, seed=seed, max_iter=80)
+    uncut = search_ball_factorizations(w, degree, n, N, restarts=restarts, seed=seed, max_iter=20)
     near = {c.restart: c for c in cut if c.residual <= 1e-6}
     near_uncut = {c.restart: c for c in uncut if c.residual <= 1e-6}
     assert near and sorted(near) == sorted(near_uncut)
@@ -404,7 +409,7 @@ def test_stagnation_cut_leaves_near_runs_alone():
         assert (c.iterations, c.split) == (ref.iterations, ref.split)
         assert c.b.coeffs == ref.b.coeffs and c.c.coeffs == ref.c.coeffs
     far = [c for c in cut if c.restart not in near]
-    assert far and all(80 < c.iterations <= 85 for c in far)
+    assert all(20 < c.iterations <= 25 for c in far)
 
 
 @settings(deadline=None, max_examples=25)

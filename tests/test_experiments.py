@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fockalg import experiments as E
+from fockalg import operators
 from fockalg.calculus import FactorCandidate
 from fockalg.cli import main
 from fockalg.operators import FreeSeries
@@ -30,6 +31,15 @@ def test_adjoint_decay_defaults():
     assert rep.measurements["max_bound_violation"] <= 1e-12
     assert rep.measurements["compression_norm"] > 1.0  # expansive compression, flagged
     assert rep.notes
+
+
+def test_adjoint_decay_takes_the_compression_norm_once(monkeypatch):
+    # the report and each of the six orbit certificates read the norm of one L
+    calls = []
+    spectral_norm = operators._spectral_norm
+    monkeypatch.setattr(operators, "_spectral_norm", lambda m: calls.append(m) or spectral_norm(m))
+    E.exp_adjoint_decay()
+    assert len(calls) == 1
 
 
 def test_adjoint_decay_notes_an_unchecked_norm():

@@ -15,6 +15,7 @@ from .operators import (
     decompose_at,
     defect_ranks,
     fourier_of,
+    gram,
     identity_op,
     op_from_matrix,
     op_norm,
@@ -24,7 +25,6 @@ from .operators import (
 )
 from .hardy import ScalarSeries, boundary_modulus, harmonic_series, partial_sum_sup, reciprocal
 from .calculus import (
-    CalculusContext,
     apply_series,
     factorization_residual,
     h2_times_isometry,

@@ -6,7 +6,9 @@ the operator
 
     h(X) L = sum_k h_k X^k L,
 
-and the map h -> h(X) L is isometric.  With f the harmonic-coefficient series
+and the map h -> h(X) L is isometric.  Both hypotheses are checked exactly,
+on the coefficients of the Gram symbols X* X, L* L and L* X^d L
+(operators.gram), not on sample vectors.  With f the harmonic-coefficient series
 and g its reciprocal, g(X) (f(X) L) = L coefficientwise, which exhibits
 nontrivial factorizations of single-letter isometries.  The unit-ball picture
 is the opposite: a word isometry L_w only factors as the word splits, which
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, inner
 from .hardy import ScalarSeries
 from .operators import (
     LEFT,
@@ -31,34 +32,17 @@ from .operators import (
     contraction_status,
     creation_op,
     fourier_of,
+    gram,
     op_norm,
     series_to_op,
 )
 from .report import Report
-from .words import BasisIndexer, Word, concat, enumerate_words
+from .words import BasisIndexer, Word, concat
 
 ORTHOGONALITY_TOL = 1e-10
 ISOMETRY_TOL = 1e-9
-PROBE_SEED = 11
 REMARK_GRID = 512
 REMARK_MODULUS_TOL = 1e-6
-
-
-class CalculusContext:
-    """Cache of powers X^0..X^K of a symbol-backed operator, used by series evaluation."""
-
-    def __init__(self, X: TruncOp, K: int):
-        X._require_symbol("series functional calculus")
-        self.X = X
-        self.K = K
-        self._powers = [series_to_op(FreeSeries.one(X.n), X.n, X.N, side=X.side)]
-
-    def power(self, k: int) -> TruncOp:
-        if k < 0:
-            raise ValueError("need k >= 0")
-        while len(self._powers) <= k:
-            self._powers.append(compose(self.X, self._powers[-1]))
-        return self._powers[k]
 
 
 def _require_contraction(X: TruncOp) -> None:
@@ -75,47 +59,48 @@ def apply_series(h: ScalarSeries, X: TruncOp) -> TruncOp:
 
     The frontier is the least frontier of the powers X^k that enter the sum.
     """
-    ctx = CalculusContext(X, h.order)
+    X._require_symbol("series functional calculus")
     _require_contraction(X)
     acc = FreeSeries.zero(X.n)
     frontier = X.N
-    for k in range(h.order + 1):
+    power = series_to_op(FreeSeries.one(X.n), X.n, X.N, side=X.side)
+    for k in range(h.degree() + 1):
+        if k:
+            power = compose(X, power)
         c = h.coeff(k)
         if c != 0:
-            acc = acc.add(ctx.power(k).symbol.scale(c))
-            frontier = min(frontier, ctx.power(k).frontier)
+            acc = acc.add(power.symbol.scale(c))
+            frontier = min(frontier, power.frontier)
     return TruncOp(X.n, X.N, symbol=acc, side=X.side, frontier=frontier)
 
 
-def _probe_vectors(n: int, N: int, max_level: int) -> list[FockVector]:
-    """Vacuum plus two random vectors supported on levels <= max_level."""
-    probes = [FockVector.basis(n, N, Word())]
-    level = max(0, max_level)
-    rng = np.random.default_rng(PROBE_SEED)
-    for _ in range(2):
-        coeffs = {}
-        for k in range(level + 1):
-            for w in enumerate_words(n, k):
-                coeffs[w] = complex(rng.standard_normal(), rng.standard_normal())
-        nrm = math.sqrt(sum(abs(c) ** 2 for c in coeffs.values()))
-        probes.append(FockVector.make(n, N, {w: c / nrm for w, c in coeffs.items()}))
-    return probes
+def _largest(g: dict[tuple[Word, bool], complex], max_len: float = math.inf) -> float:
+    """Largest |coefficient| of a gram map over the words t with |t| <= max_len."""
+    return max((abs(c) for (t, _), c in g.items() if len(t) <= max_len), default=0.0)
 
 
 def check_isometric_on_frontier(X: TruncOp) -> None:
+    """Raise ValueError unless X* X = I, coefficient by coefficient of
+    gram(X, X) within ISOMETRY_TOL; then X is isometric on its exact region
+    at every truncation."""
     if X.frontier < 0:
         raise ValueError("operator has empty exact region")
-    for xi in _probe_vectors(X.n, X.N, min(X.frontier, 2)):
-        if abs(X.apply(xi).norm() - xi.norm()) > ISOMETRY_TOL:
-            raise ValueError("operator is not isometric on its exact region")
+    X._require_symbol("an isometry check")
+    g = gram(X.symbol, X.symbol, X.side)
+    one = (Word(), False)
+    g[one] = g.get(one, 0.0) - 1.0
+    worst = _largest(g)
+    if worst > ISOMETRY_TOL:
+        raise ValueError(f"operator is not an isometry (|X* X - I| has a coefficient {worst:.3e})")
 
 
 def h2_times_isometry(h: ScalarSeries, X: TruncOp, L: TruncOp) -> TruncOp:
     """sum_k h_k X^k L; isometric in h when the ranges of X^k L are orthogonal.
 
-    The orthogonality hypothesis is checked on sampled probe vectors (the
-    vacuum plus two random low-level vectors), which catches nested or
-    overlapping ranges without an exhaustive pairwise sweep.
+    Both hypotheses are exact Gram checks on the symbols.  X and L must be
+    isometries (check_isometric_on_frontier); then (X^j L)* X^k L = L* X^(k-j) L,
+    so the ranges of the X^k L whose symbols fit in the truncation are pairwise
+    orthogonal once gram(L, X^d L) vanishes for each of those d >= 1.
     """
     if not (X.is_symbolic and L.is_symbolic and X.side == L.side == LEFT):
         raise ValueError("series times isometry needs left-symbol operators")
@@ -123,26 +108,21 @@ def h2_times_isometry(h: ScalarSeries, X: TruncOp, L: TruncOp) -> TruncOp:
     check_isometric_on_frontier(L)
     degs = max(1, X.symbol.degree())
     kchk = min(h.order, max(0, (X.N - L.symbol.degree()) // degs))
-    probe_level = max(0, min(X.frontier, L.frontier, 2))
-    for xi in _probe_vectors(X.n, X.N, probe_level):
-        images = []
-        y = L.apply(xi)
-        for _ in range(kchk + 1):
-            images.append(y)
-            y = X.apply(y)
-        for j in range(len(images)):
-            for k in range(j + 1, len(images)):
-                ov = abs(inner(images[j], images[k]))
-                if ov > ORTHOGONALITY_TOL:
-                    raise ValueError(f"ranges of X^{j} L and X^{k} L overlap (|<.,.>| = {ov:.3e})")
+    keff = h.degree()
     acc = FreeSeries.zero(X.n)
-    ctx = CalculusContext(X, h.order)
-    for k in range(h.order + 1):
+    power = FreeSeries.one(X.n)
+    for k in range(max(keff, kchk) + 1):
+        if k:
+            power = X.symbol.mul(power, max_degree=X.N)
+        term = power.mul(L.symbol, max_degree=X.N)
+        if 1 <= k <= kchk:
+            ov = _largest(gram(L.symbol, term, LEFT))
+            if ov > ORTHOGONALITY_TOL:
+                raise ValueError(f"ranges of L and X^{k} L overlap "
+                                 f"(L* X^{k} L has a coefficient {ov:.3e})")
         c = h.coeff(k)
         if c != 0:
-            term = ctx.power(k).symbol.mul(L.symbol, max_degree=X.N)
             acc = acc.add(term.scale(c))
-    keff = max((k for k in range(h.order + 1) if h.coeff(k) != 0), default=0)
     frontier = max(X.N - (keff * X.symbol.degree() + L.symbol.degree()), -1)
     return TruncOp(X.n, X.N, symbol=acc, side=LEFT, frontier=frontier)
 
@@ -170,21 +150,23 @@ def verify_factorization(g: ScalarSeries, X: TruncOp, A: TruncOp, target: TruncO
 
 
 def range_orthogonality(X: TruncOp, Y: TruncOp, max_level: int | None = None) -> float:
-    """max over exact-region basis pairs of |(X xi_a, Y xi_b)|."""
+    """max over exact-region basis pairs of |(X xi_a, Y xi_b)|.
+
+    That is |(X* Y xi_b, xi_a)|, and each pair meets at most one coefficient of
+    gram(X, Y): (t, False) when a = tb and (t, True) when b = ta for L (ta and
+    at for R).  Those with |t| <= level are met, at the pairs (t, 1) or (1, t).
+    """
     X._same_space(Y)
+    X._require_symbol("range orthogonality")
+    Y._require_symbol("range orthogonality")
+    if X.side != Y.side:
+        raise ValueError("range orthogonality needs operators on the same side")
     level = min(X.frontier, Y.frontier)
     if max_level is not None:
         level = min(level, max_level)
     if level < 0:
         return 0.0
-    basis = [w for k in range(level + 1) for w in enumerate_words(X.n, k)]
-    ximg = [X.apply(FockVector.basis(X.n, X.N, w)) for w in basis]
-    yimg = [Y.apply(FockVector.basis(X.n, X.N, w)) for w in basis]
-    worst = 0.0
-    for xa in ximg:
-        for yb in yimg:
-            worst = max(worst, abs(inner(xa, yb)))
-    return worst
+    return _largest(gram(X.symbol, Y.symbol, X.side), level)
 
 
 def remark_pair(f: ScalarSeries, g: ScalarSeries, n: int = 2,
@@ -298,7 +280,7 @@ class _BallProblem:
 
     def __init__(self, w: Word, degree: int, n: int, N: int):
         root_m = [math.sqrt(sum(n**j for j in range(N - d + 1))) for d in range(2 * degree + 1)]
-        self.basis = [u for k in range(degree + 1) for u in enumerate_words(n, k)]
+        self.basis = list(BasisIndexer(n, degree).words())
         self.target = creation_op(LEFT, w, n, N).dense()
         supports = [np.flatnonzero(creation_op(LEFT, u, n, N).dense()) for u in self.basis]
         self._flat = np.concatenate(supports)

@@ -189,7 +189,7 @@ def exp_factor_generator(K: int = 64, N: int | None = None, tol: float = 1e-9) -
     A = h2_times_isometry(harmonic_series(K - 1) if K > 1 else ScalarSeries.make([1.0]), L1, L2)
     inner_report = verify_factorization(g, L1, A, L2, depth=K, tol=tol)
     a_support = len(A.symbol.coeffs)
-    g_degree = max((k for k in range(g.order + 1) if g.coeff(k) != 0), default=0)
+    g_degree = g.degree()
     trivial = K < 2
     notes = ["degenerate single-term A; factorization is trivial"] if trivial else []
     nontrivial_ok = trivial or (g_degree >= 1 and a_support >= 2)
@@ -251,15 +251,8 @@ def exp_thin_isometry(n: int = 2, kmax: int = 2, N: int | None = None,
             recovery_err = max(recovery_err, max((abs(c) for c in diff.coeffs.values()), default=0.0))
 
     low_idx = BasisIndexer(n, kmax)
-    strip_words = [w for k in range(2 * kmax + 2) for w in enumerate_words(n, k)]
-    rows = []
-    for v in strip_words:
-        y = creation_op(RIGHT, v, n, N).apply_adjoint(x)
-        dense = np.zeros(low_idx.size, dtype=complex)
-        for t, c in y.coeffs.items():
-            if len(t) <= kmax:
-                dense[low_idx.index_of(t)] = c
-        rows.append(dense)
+    rows = [creation_op(RIGHT, v, n, N).apply_adjoint(x).truncate(kmax).to_dense(low_idx)
+            for v in BasisIndexer(n, 2 * kmax + 1).words()]
     gram_rank = numerical_rank(np.array(rows))
     expected_rank = low_idx.size
 

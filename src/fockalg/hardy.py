@@ -43,6 +43,10 @@ class ScalarSeries:
     def coeff(self, k: int) -> complex:
         return self.coeffs[k] if 0 <= k <= self.order else 0.0 + 0.0j
 
+    def degree(self) -> int:
+        """Largest k with c_k != 0 (0 for the zero series)."""
+        return max((k for k, c in enumerate(self.coeffs) if c != 0), default=0)
+
     def l2_norm(self) -> float:
         return float(np.linalg.norm(np.asarray(self.coeffs)))
 

@@ -271,6 +271,26 @@ def compose(X: TruncOp, Y: TruncOp) -> TruncOp:
                    frontier=min(X.frontier, Y.frontier))
 
 
+def gram(a: FreeSeries, b: FreeSeries, side: str) -> dict[tuple[Word, bool], complex]:
+    """S_a* S_b of the untruncated operators (S = L or R) as the finite map
+    {(t, starred): coefficient} of S_t (starred False) and S_t* (True).
+
+    L_w* L_v is L_t when v = wt, L_t* when w = vt with t nonempty, and 0
+    otherwise; R_w* R_v is R_t when v = tw and R_t* when w = tv.
+    """
+    if side not in (LEFT, RIGHT):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    strip = strip_prefix if side == LEFT else strip_suffix
+    out: dict[tuple[Word, bool], complex] = {}
+    for w, x in a.coeffs.items():
+        for v, y in b.coeffs.items():
+            t = strip(v, w)
+            key = (t, False) if t is not None else (strip(w, v), True)
+            if key[0] is not None:
+                out[key] = out.get(key, 0.0) + x.conjugate() * y
+    return out
+
+
 # -- diagnostics ----------------------------------------------------------------
 
 

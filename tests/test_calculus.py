@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_series
 from fockalg.calculus import (
-    CalculusContext,
+    ISOMETRY_TOL,
     _BallProblem,
     apply_series,
     check_isometric_on_frontier,
@@ -25,14 +25,13 @@ from fockalg.fock import FockVector, inner, random_vector
 from fockalg.hardy import ScalarSeries, harmonic_series, reciprocal
 from fockalg.operators import (
     FreeSeries,
-    compose,
     creation_op,
     fourier_of,
     op_from_matrix,
     op_norm,
     series_to_op,
 )
-from fockalg.words import Word, enumerate_words, word
+from fockalg.words import BasisIndexer, Word, enumerate_words, word
 
 
 def L_op(letter, n=2, N=10):
@@ -98,14 +97,6 @@ def test_apply_series_contraction_needs_an_upper_bound():
         apply_series(harmonic_series(3), series_to_op(s, 2, 8))
 
 
-def test_context_power_consistency():
-    X = series_to_op(FreeSeries.make(2, {word(1): 0.6, word(2): 0.8}), 2, 6)
-    ctx = CalculusContext(X, 4)
-    for k in range(4):
-        step = compose(X, ctx.power(k))
-        assert (step.symbol - ctx.power(k + 1).symbol).sup_abs() <= 1e-15
-
-
 # -- series times isometry ----------------------------------------------------
 
 
@@ -158,6 +149,23 @@ def test_h2_rejects_overlapping_ranges():
         h2_times_isometry(harmonic_series(4), X, X)
 
 
+def test_h2_rejects_non_isometries():
+    half = L_op(1, N=8).scale(0.5)
+    for X, L in ((half, L_op(2, N=8)), (L_op(2, N=8), half)):
+        with pytest.raises(ValueError, match="not an isometry"):
+            h2_times_isometry(harmonic_series(4), X, L)
+
+
+def test_h2_rejects_ranges_that_overlap_only_at_a_high_power():
+    # X = L1 and L = (L2 + L1^3 L2) / sqrt(2): L* X^d L vanishes for d = 1, 2
+    # and is L* L1^3 L = I / 2 at d = 3
+    L = series_to_op(FreeSeries.make(2, {word(2): 1 / math.sqrt(2),
+                                         word(1, 1, 1, 2): 1 / math.sqrt(2)}), 2, 10)
+    h2_times_isometry(harmonic_series(2), L_op(1, N=10), L)
+    with pytest.raises(ValueError, match="X\\^3 L overlap"):
+        h2_times_isometry(harmonic_series(3), L_op(1, N=10), L)
+
+
 # -- factorization verification --------------------------------------------------
 
 
@@ -208,6 +216,84 @@ def test_verify_factorization_depth_guard():
 def test_range_orthogonality_examples():
     assert range_orthogonality(L_op(1, N=5), L_op(2, N=5)) == 0.0
     assert abs(range_orthogonality(L_op(1, N=5), L_op(1, N=5)) - 1.0) <= 1e-15
+
+
+def test_range_orthogonality_needs_one_side():
+    with pytest.raises(ValueError, match="same side"):
+        range_orthogonality(L_op(1, N=5), creation_op("right", word(1), 2, 5))
+
+
+def test_isometry_check_sees_gram_coefficients_past_level_2():
+    # ||X v|| = 1.2247 for v = (xi_1 + xi_{z1 z1 z1}) / sqrt(2): X* X = I + (L_t + L_t*) / 2
+    # with |t| = 3, out of reach of vectors on levels <= 2
+    s = FreeSeries.make(2, {Word(): 1 / math.sqrt(2), word(1, 1, 1): 1 / math.sqrt(2)})
+    X = series_to_op(s, 2, 8)
+    v = FockVector.make(2, 8, {Word(): 1 / math.sqrt(2), word(1, 1, 1): 1 / math.sqrt(2)})
+    assert abs(X.apply(v).norm() - math.sqrt(1.5)) <= 1e-12
+    with pytest.raises(ValueError, match="not an isometry"):
+        check_isometric_on_frontier(X)
+
+
+def _symbol(rng, n, kind):
+    """A random symbol of degree <= 2: sparse, an isometry (unit coefficient
+    mass on one level), or that isometry off by 1e-3 at one word."""
+    if kind == "sparse":
+        return random_series(rng, n, 2, int(rng.integers(1, 6)))
+    words = enumerate_words(n, int(rng.integers(0, 3)))
+    picks = rng.choice(len(words), size=int(rng.integers(1, len(words) + 1)), replace=False)
+    s = FreeSeries.make(n, {words[i]: complex(*rng.standard_normal(2)) for i in picks})
+    s = s.scale(1.0 / s.l2_norm())
+    if kind == "isometry":
+        return s
+    pool = [w for k in range(3) for w in enumerate_words(n, k)]
+    return s.add(FreeSeries.delta(n, pool[rng.integers(len(pool))], 1e-3))
+
+
+def _range_overlap_by_pairs(X, Y, level):
+    """max |(X xi_a, Y xi_b)| over the basis pairs |a|, |b| <= level, pair by pair."""
+    basis = [w for k in range(level + 1) for w in enumerate_words(X.n, k)]
+    ximg = [X.apply(FockVector.basis(X.n, X.N, w)) for w in basis]
+    yimg = [Y.apply(FockVector.basis(X.n, X.N, w)) for w in basis]
+    return max((abs(inner(xa, yb)) for xa in ximg for yb in yimg), default=0.0)
+
+
+symbol_kinds = st.sampled_from(["sparse", "isometry", "perturbed"])
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+       side=st.sampled_from(["left", "right"]), kinds=st.tuples(symbol_kinds, symbol_kinds),
+       extra=st.integers(0, 2), max_level=st.sampled_from([None, 0, 1, 3]))
+def test_range_orthogonality_matches_basis_pairs(seed, n, side, kinds, extra, max_level):
+    rng = np.random.default_rng(seed)
+    a, b = (_symbol(rng, n, kind) for kind in kinds)
+    N = max(a.degree(), b.degree()) + extra
+    X, Y = series_to_op(a, n, N, side), series_to_op(b, n, N, side)
+    level = min(X.frontier, Y.frontier, max_level if max_level is not None else N)
+    want = _range_overlap_by_pairs(X, Y, level)
+    assert abs(range_orthogonality(X, Y, max_level) - want) <= 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+       side=st.sampled_from(["left", "right"]), kind=symbol_kinds, extra=st.integers(0, 1))
+def test_isometry_check_matches_dense_gram(seed, n, side, kind, extra):
+    rng = np.random.default_rng(seed)
+    s = _symbol(rng, n, kind)
+    d = s.degree()
+    N = d + extra
+    # at truncation N + 2d the columns on levels <= N + d are exact and meet
+    # every coefficient of X* X - I, all of which sit on words of length <= d
+    M = series_to_op(s, n, N + 2 * d, side).dense()
+    cols = BasisIndexer(n, N + 2 * d).level_offset(N + d + 1)
+    G = M[:, :cols].conj().T @ M[:, :cols]
+    isometric = np.abs(G - np.eye(cols)).max() <= ISOMETRY_TOL
+    try:
+        check_isometric_on_frontier(series_to_op(s, n, N, side))
+    except ValueError:
+        assert not isometric
+    else:
+        assert isometric
 
 
 def test_remark_pair_polynomial_example():

@@ -1,6 +1,10 @@
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +76,14 @@ def test_codim_counts_row_isometry():
     rep = E.exp_codim_counts(symbol=s, N=5)
     assert rep.measurements["levels"][1]["complement"] == 1
     assert rep.verdict
+
+
+def test_codim_counts_rejects_a_non_isometry():
+    # (L1 + L1^4) / sqrt(2) is isometric on levels <= 2, its exact region at
+    # N=6, but X* X = I + (L_t + L_t*) / 2 with t = z1 z1 z1
+    s = FreeSeries.make(2, {word(1): 1 / math.sqrt(2), word(1, 1, 1, 1): 1 / math.sqrt(2)})
+    with pytest.raises(ValueError, match="not an isometry"):
+        E.exp_codim_counts(symbol=s, N=6)
 
 
 def test_factor_generator_defaults():
@@ -330,3 +342,14 @@ def test_run_all_runs_each_entry_once(tmp_path, monkeypatch):
                      for name, flags in E.EXPERIMENTS.items()}
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted([f"{name}.json" for name in E.EXPERIMENTS] + ["summary.txt"])
+
+
+def test_factor_search_demo_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "factor_search_demo.py"), "z1 z2", "2", "7"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("target L_[z1 z2]  restarts=2  seed=7")

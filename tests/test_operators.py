@@ -25,6 +25,7 @@ from fockalg.operators import (
     decompose_at,
     defect_ranks,
     fourier_of,
+    gram,
     identity_op,
     op_from_matrix,
     op_norm,
@@ -184,6 +185,33 @@ def test_right_compose_order():
     # R_a R_b xi_v = xi_{v b a}
     out = prod.apply(FockVector.basis(n, N, Word()))
     assert out.coeffs == {word(2, 1): 1.0}
+
+
+def test_gram_rule_on_words():
+    assert gram(delta(2, word(1)), delta(2, word(1, 2)), "left") == {(word(2), False): 1.0}
+    assert gram(delta(2, word(1, 2)), delta(2, word(1)), "left") == {(word(2), True): 1.0}
+    assert gram(delta(2, word(1)), delta(2, word(2, 1)), "right") == {(word(2), False): 1.0}
+    assert gram(delta(2, word(1)), delta(2, word(2, 1)), "left") == {}
+    assert gram(delta(2, word(1), 2j), delta(2, word(1), 3.0), "left") == {(Word(), False): -6j}
+    with pytest.raises(ValueError, match="side"):
+        gram(delta(2, word(1)), delta(2, word(1)), "up")
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+       side=st.sampled_from(["left", "right"]))
+def test_gram_matches_dense_adjoint_product(seed, n, side):
+    rng = np.random.default_rng(seed)
+    a, b = random_series(rng, n, 2, 5), random_series(rng, n, 2, 5)
+    N = 4
+    A, B = (series_to_op(s, n, N, side).dense() for s in (a, b))
+    want = np.zeros_like(A)
+    for (t, starred), c in gram(a, b, side).items():
+        S = creation_op(side, t, n, N).dense()
+        want += c * (S.conj().T if starred else S)
+    # B is exact on the columns of levels <= N - deg b, where A* B raises by <= deg b
+    cols = BasisIndexer(n, N).level_offset(N - b.degree() + 1)
+    assert np.abs((A.conj().T @ B - want)[:, :cols]).max() <= 1e-12
 
 
 def test_matrix_backed_operator_is_only_measured():

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .words import BasisIndexer, Word, concat
+from .words import BasisIndexer, Word, _derived
 
 
 def _nonzero(coeffs: dict[Word, complex]) -> dict[Word, complex]:
@@ -23,13 +24,19 @@ def _nonzero(coeffs: dict[Word, complex]) -> dict[Word, complex]:
 
 
 def _check_words(n: int, coeffs: dict[Word, complex], N: Optional[int] = None) -> None:
-    for w, c in coeffs.items():
-        if N is not None and len(w) > N:
-            raise ValueError(f"word {w!r} longer than truncation {N}")
-        if w.max_letter() > n:
-            raise ValueError(f"word {w!r} uses letters beyond alphabet {n}")
-        if c == 0:
-            raise ValueError("zero coefficients should be dropped before construction")
+    """Word keys, lengths <= N, letters <= n and no zero coefficient, each
+    checked as one pass over the whole map (the letters are checked Words)."""
+    if not set(map(type, coeffs)) <= {Word}:
+        bad = next(w for w in coeffs if type(w) is not Word)
+        raise TypeError(f"keys must be Words, got {bad!r} ({type(bad).__name__})")
+    if N is not None and max(map(len, coeffs), default=0) > N:
+        bad = next(w for w in coeffs if len(w) > N)
+        raise ValueError(f"word {bad!r} longer than truncation {N}")
+    if max(chain.from_iterable(coeffs), default=1) > n:
+        bad = next(w for w in coeffs if max(w, default=1) > n)
+        raise ValueError(f"word {bad!r} uses letters beyond alphabet {n}")
+    if 0 in coeffs.values():
+        raise ValueError("zero coefficients should be dropped before construction")
 
 
 def _check_space(a: "FreeSeries", b: "FreeSeries") -> None:
@@ -41,12 +48,14 @@ def convolve(left: dict[Word, complex], right: dict[Word, complex],
              max_len: Optional[int] = None) -> dict[Word, complex]:
     """Free convolution: out_w = sum over factorizations w = uv of left_u right_v,
     dropping every w longer than max_len."""
+    # products of Words are Words (words.concat); other keys get the check
+    product = _derived if set(map(type, chain(left, right))) <= {Word} else Word
     out: dict[Word, complex] = {}
     for u, a in left.items():
         room = math.inf if max_len is None else max_len - len(u)
         for v, b in right.items():
             if len(v) <= room:
-                w = concat(u, v)
+                w = product(u + v)
                 out[w] = out.get(w, 0.0) + a * b
     return out
 

@@ -29,7 +29,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fock import FockVector, FreeSeries, convolve
-from .words import BasisCapExceeded, BasisIndexer, Word, enumerate_words, strip_prefix, strip_suffix
+from .words import (BasisCapExceeded, BasisIndexer, Word, _derived, enumerate_words, strip_prefix,
+                    strip_suffix)
 
 DENSE_CAP = 4096
 RANK_FLOOR = 1e-12
@@ -106,13 +107,29 @@ class TruncOp:
         if (xi.n, xi.N) != (self.n, self.N):
             raise ValueError("vector lives in a different truncated space")
         self._require_symbol("vector action")
-        strip = strip_prefix if self.side == LEFT else strip_suffix
+        # L_w* xi_v = xi_t when v = wt (R_w* xi_v = xi_t when v = tw).  For a
+        # fixed v each length of w gives at most one match, so the symbol is
+        # grouped by length and each v costs one slice and lookup per length.
+        # The matches are summed in symbol order, the order of a loop over w.
+        by_length: dict[int, dict[Word, tuple[int, complex]]] = {}
+        for i, (w, a) in enumerate(self.symbol.coeffs.items()):
+            by_length.setdefault(len(w), {})[w] = (i, a.conjugate())
+        lengths = sorted(by_length.items())
+        left = self.side == LEFT
         out: dict[Word, complex] = {}
         for v, c in xi.coeffs.items():
-            for w, a in self.symbol.coeffs.items():
-                t = strip(v, w)
-                if t is not None:
-                    out[t] = out.get(t, 0.0) + a.conjugate() * c
+            m = len(v)
+            hits = []
+            for k, terms in lengths:
+                if k > m:
+                    break
+                hit = terms.get(v[:k] if left else v[m - k:])
+                if hit is not None:
+                    hits.append((hit, k))
+            hits.sort()
+            for (_, a_conj), k in hits:
+                t = _derived(v[k:] if left else v[:m - k])
+                out[t] = out.get(t, 0.0) + a_conj * c
         return FockVector.make(self.n, self.N, out)
 
     # -- arithmetic ----------------------------------------------------------

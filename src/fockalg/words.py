@@ -4,12 +4,19 @@ A word is a finite string of letters from {1..n}; the empty word is the
 semigroup unit.  Words index the orthonormal basis of the truncated space,
 ordered by length first and lexicographically within each length, so that
 every level occupies a contiguous index range.
+
+A Word is checked where it enters: ``Word(...)`` and ``Word.parse`` reject any
+letter that is not an integer >= 1.  Products, strips and reversals of Words
+(and the words that ``enumerate_words`` and ``BasisIndexer`` make from their
+own letters) are Words by closure, so they are built without the check.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
+from functools import partial
 from typing import Iterable, Iterator, Optional
 
 DEFAULT_BASIS_CAP = 10**6
@@ -30,7 +37,8 @@ class Word(tuple):
     """Immutable word over letters 1..n; ``Word()`` is the unit.
 
     A word is the tuple of its letters: it equals that tuple and hashes the
-    same.  Slices and ``+`` give plain tuples; wrap them in ``Word`` again."""
+    same.  Slices and ``+`` give plain tuples; ``concat`` and the strips give
+    Words."""
 
     __slots__ = ()
 
@@ -40,10 +48,11 @@ class Word(tuple):
         return self
 
     # The letter check keeps its name from when Word was a dataclass: the
-    # benchmark's tracer counts word constructions by wrapping it.
+    # benchmark's tracer counts checked word constructions by wrapping it.
+    # Words derived from Words (_derived below) skip it and are not counted.
     def __post_init__(self):
         for a in self:
-            if not isinstance(a, int) or a < 1:
+            if isinstance(a, bool) or not isinstance(a, int) or a < 1:
                 raise ValueError(f"letters must be integers >= 1, got {a!r}")
 
     @property
@@ -56,9 +65,6 @@ class Word(tuple):
     def __repr__(self) -> str:
         return f"Word({str(self) or '1'})"
 
-    def max_letter(self) -> int:
-        return max(self, default=1)
-
     @staticmethod
     def parse(text: str) -> "Word":
         """Inverse of ``str``: tokens like "z1 z2 z1"; empty string is the unit."""
@@ -70,37 +76,39 @@ class Word(tuple):
         return Word(letters)
 
 
+# The unchecked constructor, for letters taken from Words already checked.
+_derived = partial(tuple.__new__, Word)
+
+
 def word(*letters: int) -> Word:
     return Word(letters)
 
 
 def concat(u: Word, v: Word) -> Word:
     """The semigroup product uv (u followed by v)."""
+    if type(u) is Word and type(v) is Word:
+        return _derived(u + v)
     return Word(u + v)
 
 
 def reverse(w: Word) -> Word:
-    return Word(w[::-1])
+    return _derived(w[::-1]) if type(w) is Word else Word(w[::-1])
 
 
 def strip_suffix(w: Word, u: Word) -> Optional[Word]:
     """Return t with w = tu, or None when u is not a suffix of w."""
-    k = len(u)
-    if k == 0:
-        return w
-    if len(w) < k or w[-k:] != u:
+    m = len(w) - len(u)
+    if m < 0 or w[m:] != u:
         return None
-    return Word(w[:-k])
+    return _derived(w[:m]) if type(w) is Word and type(u) is Word else Word(w[:m])
 
 
 def strip_prefix(w: Word, u: Word) -> Optional[Word]:
     """Return t with w = ut, or None when u is not a prefix of w."""
     k = len(u)
-    if k == 0:
-        return w
-    if len(w) < k or w[:k] != u:
+    if w[:k] != u:
         return None
-    return Word(w[k:])
+    return _derived(w[k:]) if type(w) is Word and type(u) is Word else Word(w[k:])
 
 
 def enumerate_words(n: int, k: int) -> list[Word]:
@@ -110,7 +118,7 @@ def enumerate_words(n: int, k: int) -> list[Word]:
     limit = basis_cap()
     if n**k > limit:
         raise BasisCapExceeded(f"n^k = {n**k} exceeds cap {limit}")
-    return [Word(t) for t in itertools.product(range(1, n + 1), repeat=k)]
+    return list(map(_derived, itertools.product(range(1, n + 1), repeat=k)))
 
 
 class BasisIndexer:
@@ -123,6 +131,7 @@ class BasisIndexer:
     def __init__(self, n: int, N: int):
         if n < 1 or N < 0:
             raise ValueError("need n >= 1 and N >= 0")
+        n = operator.index(n)  # a Python int, so that word_at makes int letters
         self.n = n
         self.N = N
         limit = basis_cap()
@@ -154,6 +163,7 @@ class BasisIndexer:
         return self._offsets[k] + rank
 
     def word_at(self, i: int) -> Word:
+        i = operator.index(i)
         if not 0 <= i < self.size:
             raise IndexError(i)
         k = 0
@@ -164,7 +174,7 @@ class BasisIndexer:
         for pos in range(k - 1, -1, -1):
             letters[pos] = rank % self.n + 1
             rank //= self.n
-        return Word(letters)
+        return _derived(letters)
 
     def words(self) -> Iterator[Word]:
         """All basis words in index order."""

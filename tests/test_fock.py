@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fockalg.fock import FockVector, inner, project_level, random_vector
+from fockalg.fock import FockVector, FreeSeries, inner, project_level, random_vector
 from fockalg.words import Word, word
 
 
@@ -65,3 +65,14 @@ def test_validation():
         FockVector(2, 1, {word(1, 2): 1.0})  # too long
     with pytest.raises(ValueError):
         FockVector(2, 3, {word(3): 1.0})  # letter outside alphabet
+    with pytest.raises(ValueError, match="zero"):
+        FockVector(2, 3, {word(1): 1.0, word(2): 0.0})
+    with pytest.raises(TypeError, match=r"\(1, 2\)"):
+        FreeSeries(2, {(1, 2): 1.0})  # a plain tuple key, not a Word
+    with pytest.raises(TypeError, match="'z1'"):
+        FockVector(2, 3, {word(1): 1.0, "z1": 2.0})
+    # each check names the first offending word, wherever it sits in the map
+    with pytest.raises(ValueError, match=r"Word\(z2 z3\)"):
+        FreeSeries(2, {Word(): 1.0, word(1): 1.0, word(2, 3): 1.0})
+    with pytest.raises(ValueError, match=r"Word\(z1 z1\)"):
+        FockVector(2, 1, {Word(): 1.0, word(1, 1): 1.0})

@@ -34,7 +34,8 @@ from fockalg.operators import (
     series_to_op,
     symbol_norm_bound,
 )
-from fockalg.words import BasisIndexer, Word, concat, enumerate_words, word
+from fockalg.words import (BasisIndexer, Word, concat, enumerate_words, strip_prefix, strip_suffix,
+                           word)
 
 
 def delta(n, w, c=1.0):
@@ -153,6 +154,32 @@ def test_adjoint_involution(rng):
     s = random_series(rng, 2, 2, 4)
     X = series_to_op(s, 2, 4)
     assert np.allclose(adjoint(adjoint(X)).dense(), X.dense())
+
+
+def _adjoint_per_term(X, xi):
+    """S_s* xi as one strip per (vector word, symbol word) pair."""
+    strip = strip_prefix if X.side == "left" else strip_suffix
+    out = {}
+    for v, c in xi.coeffs.items():
+        for w, a in X.symbol.coeffs.items():
+            t = strip(v, w)
+            if t is not None:
+                out[t] = out.get(t, 0.0) + a.conjugate() * c
+    return FockVector.make(X.n, X.N, out)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3]),
+       side=st.sampled_from(["left", "right"]), degree=st.integers(0, 4))
+def test_apply_adjoint_matches_per_term_strips(seed, n, side, degree):
+    rng = np.random.default_rng(seed)
+    N = 6
+    # random_series lists its words in random order, so lengths come mixed
+    X = series_to_op(random_series(rng, n, degree, 8), n, N, side)
+    xi = FockVector.make(n, N, random_series(rng, n, N, 40).coeffs)
+    got, want = X.apply_adjoint(xi), _adjoint_per_term(X, xi)
+    # bitwise equal coefficients, in the same order
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
 
 
 def test_compose_words():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_series
 from fockalg.calculus import classify_word_factorization
-from fockalg.fock import FockVector
+from fockalg.fock import FockVector, convolve
 from fockalg.operators import LEFT, RIGHT, decompose_at, series_to_op
 from fockalg.words import (
     BasisCapExceeded,
@@ -103,6 +103,16 @@ def test_indexer_roundtrip_and_order():
         assert keys == sorted(keys)
 
 
+def test_indexer_words_have_int_letters():
+    """word_at builds Words without the check, so its letters must be ints."""
+    for w in [BasisIndexer(np.int64(2), 3).word_at(5), BasisIndexer(2, 3).word_at(np.int64(5))]:
+        assert w == word(2, 1) and all(type(a) is int for a in w)
+    with pytest.raises(TypeError):
+        BasisIndexer(2.0, 3)
+    with pytest.raises(TypeError):
+        BasisIndexer(2, 3).word_at(5.0)
+
+
 def test_indexer_size_formula():
     idx = BasisIndexer(2, 6)
     assert idx.size == (2**7 - 1) // (2 - 1)
@@ -142,6 +152,7 @@ def test_word_algebra_returns_words(u, v, seed):
     uv = concat(u, v)
     produced = [uv, strip_prefix(uv, u), strip_suffix(uv, v), reverse(uv)]
     produced += enumerate_words(n, len(u) % 4)
+    produced += [BasisIndexer(n, N).word_at(i) for i in range(0, 1093, 37)]
     s, t = random_series(rng, n, 3, 5), random_series(rng, n, 3, 5)
     prod = s.mul(t)
     produced += list(prod.coeffs)
@@ -156,6 +167,7 @@ def test_word_algebra_returns_words(u, v, seed):
     for w in produced:
         assert type(w) is Word, repr(w)
         assert Word.parse(str(w)) == w
+        assert Word(tuple(w)) == w  # built without the check, yet it passes it
 
 
 def test_word_letter_validation():
@@ -163,3 +175,21 @@ def test_word_letter_validation():
         Word((0,))
     with pytest.raises(ValueError):
         Word((-1, 2))
+    # True == 1, but "zTrue z2" would not parse back
+    for bad in [(True, 2), (False,), (1, 2.0), (1, "2")]:
+        with pytest.raises(ValueError):
+            Word(bad)
+
+
+def test_word_algebra_checks_plain_tuples():
+    """Only Words skip the check: plain tuples with a bad letter still raise."""
+    for act in [lambda: concat((1, 0), word(1)), lambda: concat(word(1), (True,)),
+                lambda: strip_prefix((1, 0), (1,)), lambda: strip_prefix((1, 0), word(1)),
+                lambda: strip_suffix((0, 1), word(1)), lambda: strip_suffix((0, 1), ()),
+                lambda: reverse((2, -1)), lambda: convolve({(1,): 1.0}, {(0,): 1.0})]:
+        with pytest.raises(ValueError):
+            act()
+    # good plain tuples come back as Words
+    for w in [concat((1,), (2,)), strip_prefix((1, 2), ()), strip_suffix((1, 2), word(2)),
+              reverse((1, 2)), *convolve({(1,): 1.0}, {word(2): 1.0})]:
+        assert type(w) is Word

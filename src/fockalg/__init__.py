@@ -3,24 +3,20 @@ word combinatorics, sparse Fock vectors, symbol/matrix operator compressions,
 a scalar series engine, functional calculus, and reproducible experiments."""
 
 from .words import BasisCapExceeded, BasisIndexer, Word, concat, enumerate_words, reverse, strip_prefix, strip_suffix, word
-from .fock import FockVector, FreeSeries, inner, project_level, random_vector
+from .fock import FockVector, FreeSeries, inner
 from .operators import (
     TruncOp,
-    adjoint,
     adjoint_power_orbit,
     cesaro_sum,
     commutant_residual,
     compose,
     creation_op,
     decompose_at,
-    defect_ranks,
     fourier_of,
     gram,
-    identity_op,
     op_from_matrix,
     op_norm,
     range_complement_level_dims,
-    recompose,
     series_to_op,
 )
 from .hardy import ScalarSeries, boundary_modulus, harmonic_series, partial_sum_sup, reciprocal
@@ -28,9 +24,6 @@ from .calculus import (
     apply_series,
     factorization_residual,
     h2_times_isometry,
-    irreducibility_hypothesis,
-    range_orthogonality,
-    remark_pair,
     search_ball_factorizations,
     verify_factorization,
 )

@@ -41,8 +41,6 @@ from .words import BasisIndexer, Word, concat
 
 ORTHOGONALITY_TOL = 1e-10
 ISOMETRY_TOL = 1e-9
-REMARK_GRID = 512
-REMARK_MODULUS_TOL = 1e-6
 
 
 def _require_contraction(X: TruncOp) -> None:
@@ -74,9 +72,9 @@ def apply_series(h: ScalarSeries, X: TruncOp) -> TruncOp:
     return TruncOp(X.n, X.N, symbol=acc, side=X.side, frontier=frontier)
 
 
-def _largest(g: dict[tuple[Word, bool], complex], max_len: float = math.inf) -> float:
-    """Largest |coefficient| of a gram map over the words t with |t| <= max_len."""
-    return max((abs(c) for (t, _), c in g.items() if len(t) <= max_len), default=0.0)
+def _largest(g: dict[tuple[Word, bool], complex]) -> float:
+    """Largest |coefficient| of a gram map."""
+    return max(map(abs, g.values()), default=0.0)
 
 
 def check_isometric_on_frontier(X: TruncOp) -> None:
@@ -102,6 +100,7 @@ def h2_times_isometry(h: ScalarSeries, X: TruncOp, L: TruncOp) -> TruncOp:
     so the ranges of the X^k L whose symbols fit in the truncation are pairwise
     orthogonal once gram(L, X^d L) vanishes for each of those d >= 1.
     """
+    X._same_space(L)
     if not (X.is_symbolic and L.is_symbolic and X.side == L.side == LEFT):
         raise ValueError("series times isometry needs left-symbol operators")
     check_isometric_on_frontier(X)
@@ -147,80 +146,6 @@ def verify_factorization(g: ScalarSeries, X: TruncOp, A: TruncOp, target: TruncO
         tolerances={"max_coeff_error": tol},
         anchors=["coefficientwise identity g(X) A = target on words up to depth"],
     )
-
-
-def range_orthogonality(X: TruncOp, Y: TruncOp, max_level: int | None = None) -> float:
-    """max over exact-region basis pairs of |(X xi_a, Y xi_b)|.
-
-    That is |(X* Y xi_b, xi_a)|, and each pair meets at most one coefficient of
-    gram(X, Y): (t, False) when a = tb and (t, True) when b = ta for L (ta and
-    at for R).  Those with |t| <= level are met, at the pairs (t, 1) or (1, t).
-    """
-    X._same_space(Y)
-    X._require_symbol("range orthogonality")
-    Y._require_symbol("range orthogonality")
-    if X.side != Y.side:
-        raise ValueError("range orthogonality needs operators on the same side")
-    level = min(X.frontier, Y.frontier)
-    if max_level is not None:
-        level = min(level, max_level)
-    if level < 0:
-        return 0.0
-    return _largest(gram(X.symbol, Y.symbol, X.side), level)
-
-
-def remark_pair(f: ScalarSeries, g: ScalarSeries, n: int = 2,
-                N: int = 8) -> tuple[TruncOp, TruncOp]:
-    """Isometry L = L1 f(L1) + L2 g(L1) and its range-orthogonal companion
-    X = (beta L1 L2 - lambda alpha L2^2) / (|alpha|^2 + |beta|^2).
-
-    Requires |f|^2 + |g|^2 = 1 on the circle; lambda in the unit circle is
-    fixed by lambda alpha conj(beta) = conj(alpha) beta (lambda = 1 when
-    alpha beta = 0).  X is a scalar multiple of an isometry; its compression
-    norm (|alpha|^2 + |beta|^2)^{-1/2} is measured, never assumed to be 1.
-    """
-    theta = np.arange(REMARK_GRID) * (2.0 * math.pi / REMARK_GRID)
-    z = np.exp(1j * theta)
-    fv = np.array([f.evaluate(t) for t in z])
-    gv = np.array([g.evaluate(t) for t in z])
-    worst = float(np.max(np.abs(np.abs(fv) ** 2 + np.abs(gv) ** 2 - 1.0)))
-    if worst > REMARK_MODULUS_TOL:
-        raise ValueError(f"|f|^2 + |g|^2 deviates from 1 by {worst:.3e} on the circle")
-    alpha = f.coeff(0)
-    beta = g.coeff(0)
-    if abs(alpha) < 1e-14 and abs(beta) < 1e-14:
-        raise ValueError("f(0) and g(0) must not both vanish")
-    lam = (alpha.conjugate() * beta) / (alpha * beta.conjugate()) if abs(alpha * beta) > 0 else 1.0 + 0.0j
-    lcoeffs: dict[Word, complex] = {}
-    for k in range(f.order + 1):
-        if f.coeff(k) != 0:
-            lcoeffs[Word((1,) * (k + 1))] = f.coeff(k)
-    for k in range(g.order + 1):
-        if g.coeff(k) != 0:
-            lcoeffs[Word((2,) + (1,) * k)] = g.coeff(k)
-    L = series_to_op(FreeSeries.make(n, lcoeffs), n, N)
-    scale = 1.0 / (abs(alpha) ** 2 + abs(beta) ** 2)
-    xcoeffs = {
-        Word((1, 2)): scale * beta,
-        Word((2, 2)): -scale * lam * alpha,
-    }
-    X = series_to_op(FreeSeries.make(n, xcoeffs), n, N)
-    return L, X
-
-
-def irreducibility_hypothesis(s: FreeSeries, i: int, form: str = "strict") -> bool:
-    """Whether the coefficient mass on words ending in letter i sits on a
-    single word: exactly z_i ("strict"), or any one word w z_i ("relaxed")."""
-    if form not in ("strict", "relaxed"):
-        raise ValueError(f"form must be 'strict' or 'relaxed', got {form!r}")
-    if abs(s.l2_norm() - 1.0) > 1e-9:
-        raise ValueError("series must have unit coefficient l2-norm")
-    if s.coeff(Word()) != 0:
-        raise ValueError("series must have vanishing constant coefficient")
-    ending = [w for w in s.coeffs if len(w) > 0 and w[-1] == i]
-    if len(ending) != 1:
-        return False
-    return ending[0] == Word((i,)) if form == "strict" else True
 
 
 # -- unit-ball factor search ---------------------------------------------------

@@ -60,10 +60,6 @@ def convolve(left: dict[Word, complex], right: dict[Word, complex],
     return out
 
 
-def _parse_records(records: list[dict]) -> dict[Word, complex]:
-    return {Word.parse(r["word"]): complex(r["re"], r["im"]) for r in records}
-
-
 @dataclass(frozen=True)
 class FreeSeries:
     """Sparse noncommutative power series sum_w a_w over words in letters 1..n.
@@ -93,12 +89,8 @@ class FreeSeries:
     def delta(n: int, w: Word, c: complex = 1.0) -> "FreeSeries":
         return FreeSeries.make(n, {w: c})
 
-    @staticmethod
-    def from_records(n: int, records: list[dict]) -> "FreeSeries":
-        return FreeSeries.make(n, _parse_records(records))
-
     def _space(self) -> tuple:
-        """What two maps must share to be added: the alphabet size."""
+        """What two maps must share to be added or multiplied: the alphabet size."""
         return (self.n,)
 
     def _like(self, coeffs: dict[Word, complex]) -> "FreeSeries":
@@ -139,6 +131,7 @@ class FreeSeries:
 
     def mul(self, other: "FreeSeries", max_degree: Optional[int] = None) -> "FreeSeries":
         """Free convolution: (st)_w = sum over factorizations w = uv of s_u t_v."""
+        _check_space(self, other)
         return FreeSeries.make(self.n, convolve(self.coeffs, other.coeffs, max_degree))
 
     def __add__(self, other):
@@ -179,10 +172,6 @@ class FockVector(FreeSeries):
     def basis(n: int, N: int, w: Word) -> "FockVector":
         return FockVector(n, N, {w: 1.0 + 0.0j})
 
-    @staticmethod
-    def from_records(n: int, N: int, records: list[dict]) -> "FockVector":
-        return FockVector.make(n, N, _parse_records(records))
-
     def _space(self) -> tuple:
         return (self.n, self.N)
 
@@ -205,18 +194,3 @@ def inner(xi: FockVector, eta: FockVector) -> complex:
             total += c * d.conjugate()
     return total
 
-
-def project_level(xi: FockVector, k: int) -> FockVector:
-    """P_k: keep exactly the length-k coefficients."""
-    if not 0 <= k <= xi.N:
-        raise ValueError(f"level {k} outside 0..{xi.N}")
-    return FockVector(xi.n, xi.N, {w: c for w, c in xi.coeffs.items() if len(w) == k})
-
-
-def random_vector(n: int, N: int, seed: int) -> FockVector:
-    """Deterministic pseudo-random unit vector supported on the full basis."""
-    idx = BasisIndexer(n, N)
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
-    raw /= np.linalg.norm(raw)
-    return FockVector(n, N, {idx.word_at(i): complex(raw[i]) for i in range(idx.size)})

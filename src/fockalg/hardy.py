@@ -47,29 +47,11 @@ class ScalarSeries:
         """Largest k with c_k != 0 (0 for the zero series)."""
         return max((k for k, c in enumerate(self.coeffs) if c != 0), default=0)
 
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(np.asarray(self.coeffs)))
-
     def evaluate(self, z: complex) -> complex:
         val = 0.0 + 0.0j
         for c in reversed(self.coeffs):
             val = val * z + c
         return val
-
-    def to_records(self) -> list[dict]:
-        return [
-            {"k": k, "re": c.real, "im": c.imag}
-            for k, c in enumerate(self.coeffs)
-            if c != 0
-        ]
-
-    @staticmethod
-    def from_records(records: list[dict], K: int | None = None) -> "ScalarSeries":
-        order = K if K is not None else max(r["k"] for r in records)
-        cs = [0.0 + 0.0j] * (order + 1)
-        for r in records:
-            cs[r["k"]] = complex(r["re"], r["im"])
-        return ScalarSeries(tuple(cs))
 
 
 def harmonic_series(K: int) -> ScalarSeries:

@@ -7,10 +7,10 @@ realized on the basis {xi_w : |w| <= N} in one of two ways:
 * symbol-backed: the symbol is kept and columns are produced lazily by word
   concatenation; this works at any truncation level, including ones whose
   basis could never be materialized,
-* matrix-backed: an explicit (dense or sparse) compression matrix, needed for
-  SVD-style diagnostics and for operators that are not given by a symbol.
-  Such an operator is measured (norms, Fourier data, adjoints, products,
-  commutant) but not applied to vectors, added or scaled.
+* matrix-backed: an explicit (dense or sparse) compression matrix, for
+  operators that are not given by a symbol.  Such an operator is measured
+  only by norms and the commutant; it is not applied to vectors, composed,
+  added or scaled.
 
 Every operator carries its exactness frontier: the largest level m such that
 the action on vectors supported in levels <= m agrees with the untruncated
@@ -201,12 +201,8 @@ def series_to_op(s: FreeSeries, n: int, N: int, side: str = LEFT) -> TruncOp:
     return TruncOp(n, N, symbol=s, side=side)
 
 
-def identity_op(n: int, N: int) -> TruncOp:
-    return series_to_op(FreeSeries.one(n), n, N)
-
-
-def op_from_matrix(matrix, n: int, N: int, frontier: Optional[int] = None) -> TruncOp:
-    return TruncOp(n, N, matrix=matrix, frontier=frontier)
+def op_from_matrix(matrix, n: int, N: int) -> TruncOp:
+    return TruncOp(n, N, matrix=matrix)
 
 
 # -- Fourier data -------------------------------------------------------------
@@ -216,17 +212,8 @@ def fourier_of(X: TruncOp, depth: int) -> FreeSeries:
     """Coefficients a_w = (X xi_1, xi_w) for |w| <= depth."""
     if depth > X.N:
         raise ValueError(f"depth {depth} exceeds truncation {X.N}")
-    if X.is_symbolic:
-        return X.symbol.truncate(depth)
-    idx = X.indexer()
-    m = X.matrix
-    col = np.asarray(m[:, [0]].toarray()).ravel() if sp.issparse(m) else m[:, 0]
-    upto = idx.level_offset(depth + 1)
-    coeffs = {}
-    for i in range(upto):
-        if col[i] != 0:
-            coeffs[idx.word_at(i)] = complex(col[i])
-    return FreeSeries(X.n, coeffs)
+    X._require_symbol("Fourier data")
+    return X.symbol.truncate(depth)
 
 
 def decompose_at(s: FreeSeries, k: int) -> tuple[dict[Word, complex], dict[Word, FreeSeries]]:
@@ -251,41 +238,21 @@ def decompose_at(s: FreeSeries, k: int) -> tuple[dict[Word, complex], dict[Word,
     return scalars, corners
 
 
-def recompose(n: int, k: int, scalars: dict[Word, complex], corners: dict[Word, FreeSeries]) -> FreeSeries:
-    """Inverse of decompose_at: sum scalars plus prefixed corner series."""
-    out = FreeSeries.make(n, scalars)
-    for w, Xw in corners.items():
-        out = out.add(FreeSeries.delta(n, w).mul(Xw))
-    return out
-
-
 # -- algebraic operations ------------------------------------------------------
-
-
-def adjoint(X: TruncOp) -> TruncOp:
-    """Conjugate transpose of the compression.
-
-    For a symbol-backed operator the adjoint only lowers levels, so its
-    compression is exact on every stored level (frontier N).
-    """
-    m = X.matrix
-    mh = m.conj().T.copy() if not sp.issparse(m) else m.conjugate().transpose().tocsr()
-    return TruncOp(X.n, X.N, matrix=mh, frontier=X.N if X.is_symbolic else X.frontier)
 
 
 def compose(X: TruncOp, Y: TruncOp) -> TruncOp:
     """X then Y on the right (matrix product X @ Y, i.e. Y acts first)."""
     X._same_space(Y)
-    if X.is_symbolic and Y.is_symbolic and X.side == Y.side:
-        # L_u L_v = L_{uv} while R_u R_v = R_{vu}
-        prod = X.symbol.mul(Y.symbol, max_degree=X.N) if X.side == LEFT \
-            else Y.symbol.mul(X.symbol, max_degree=X.N)
-        # Y is exact up to its frontier and raises levels by at most deg Y,
-        # where X must still be exact
-        frontier = max(min(Y.frontier, X.frontier - Y.symbol.degree()), -1)
-        return TruncOp(X.n, X.N, symbol=prod, side=X.side, frontier=frontier)
-    return TruncOp(X.n, X.N, matrix=X.matrix @ Y.matrix,
-                   frontier=min(X.frontier, Y.frontier))
+    if not (X.is_symbolic and Y.is_symbolic and X.side == Y.side):
+        raise ValueError("composition needs symbol-backed operators on the same side")
+    # L_u L_v = L_{uv} while R_u R_v = R_{vu}
+    prod = X.symbol.mul(Y.symbol, max_degree=X.N) if X.side == LEFT \
+        else Y.symbol.mul(X.symbol, max_degree=X.N)
+    # Y is exact up to its frontier and raises levels by at most deg Y,
+    # where X must still be exact
+    frontier = max(min(Y.frontier, X.frontier - Y.symbol.degree()), -1)
+    return TruncOp(X.n, X.N, symbol=prod, side=X.side, frontier=frontier)
 
 
 def gram(a: FreeSeries, b: FreeSeries, side: str) -> dict[tuple[Word, bool], complex]:
@@ -448,13 +415,6 @@ def cesaro_sum(s: FreeSeries, k: int) -> FreeSeries:
     return FreeSeries.make(
         s.n, {v: (1.0 - len(v) / k) * a for v, a in s.coeffs.items() if len(v) < k}
     )
-
-
-def defect_ranks(L: TruncOp) -> tuple[int, int]:
-    """(rank(I - L L*), rank(I - L* L)) by numerical_rank."""
-    m = L.dense()
-    eye = np.eye(m.shape[0], dtype=complex)
-    return numerical_rank(eye - m @ m.conj().T), numerical_rank(eye - m.conj().T @ m)
 
 
 def range_complement_level_dims(L: TruncOp, k: int, tol: float = 1e-9) -> int:

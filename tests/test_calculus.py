@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_series
+from conftest import random_series, random_vector
 from fockalg.calculus import (
     ISOMETRY_TOL,
     _BallProblem,
@@ -15,18 +15,14 @@ from fockalg.calculus import (
     classify_word_factorization,
     factorization_residual,
     h2_times_isometry,
-    irreducibility_hypothesis,
-    range_orthogonality,
-    remark_pair,
     search_ball_factorizations,
     verify_factorization,
 )
-from fockalg.fock import FockVector, inner, random_vector
+from fockalg.fock import FockVector, inner
 from fockalg.hardy import ScalarSeries, harmonic_series, reciprocal
 from fockalg.operators import (
     FreeSeries,
     creation_op,
-    fourier_of,
     op_from_matrix,
     op_norm,
     series_to_op,
@@ -109,7 +105,7 @@ def test_h2_operator_symbol_and_norm():
     for k in range(K + 1):
         assert abs(A.symbol.coeff(Word((1,) * k + (2,))) - 1.0 / (k + 1)) <= 1e-15
     got = A.apply(FockVector.basis(2, N, Word())).norm()
-    assert abs(got - h.l2_norm()) <= 1e-12
+    assert abs(got - np.linalg.norm(h.coeffs)) <= 1e-12
 
 
 def test_h2_trivial_series_returns_isometry():
@@ -126,7 +122,7 @@ def test_h2_isometric_map_random(rng):
         h = ScalarSeries.make(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
         A = h2_times_isometry(h, X, L)
         got = A.apply(FockVector.basis(2, N, Word())).norm()
-        assert abs(got - h.l2_norm()) <= 1e-10
+        assert abs(got - np.linalg.norm(h.coeffs)) <= 1e-10
 
 
 def test_h2_projection_bessel(rng):
@@ -147,6 +143,14 @@ def test_h2_rejects_overlapping_ranges():
     X = L_op(1, N=8)
     with pytest.raises(ValueError):
         h2_times_isometry(harmonic_series(4), X, X)
+
+
+def test_h2_rejects_mismatched_truncations():
+    # mismatched truncations leave no exact region: raise, never a zero operator
+    X = L_op(1, N=4)
+    L = creation_op("left", Word((2,) * 6), 2, 8)
+    with pytest.raises(ValueError, match="truncations do not match"):
+        h2_times_isometry(harmonic_series(2), X, L)
 
 
 def test_h2_rejects_non_isometries():
@@ -210,17 +214,7 @@ def test_verify_factorization_depth_guard():
         verify_factorization(g, X, A, L, depth=11)
 
 
-# -- orthogonal ranges -----------------------------------------------------------
-
-
-def test_range_orthogonality_examples():
-    assert range_orthogonality(L_op(1, N=5), L_op(2, N=5)) == 0.0
-    assert abs(range_orthogonality(L_op(1, N=5), L_op(1, N=5)) - 1.0) <= 1e-15
-
-
-def test_range_orthogonality_needs_one_side():
-    with pytest.raises(ValueError, match="same side"):
-        range_orthogonality(L_op(1, N=5), creation_op("right", word(1), 2, 5))
+# -- isometry checks -----------------------------------------------------------
 
 
 def test_isometry_check_sees_gram_coefficients_past_level_2():
@@ -249,29 +243,7 @@ def _symbol(rng, n, kind):
     return s.add(FreeSeries.delta(n, pool[rng.integers(len(pool))], 1e-3))
 
 
-def _range_overlap_by_pairs(X, Y, level):
-    """max |(X xi_a, Y xi_b)| over the basis pairs |a|, |b| <= level, pair by pair."""
-    basis = [w for k in range(level + 1) for w in enumerate_words(X.n, k)]
-    ximg = [X.apply(FockVector.basis(X.n, X.N, w)) for w in basis]
-    yimg = [Y.apply(FockVector.basis(X.n, X.N, w)) for w in basis]
-    return max((abs(inner(xa, yb)) for xa in ximg for yb in yimg), default=0.0)
-
-
 symbol_kinds = st.sampled_from(["sparse", "isometry", "perturbed"])
-
-
-@settings(deadline=None, max_examples=40)
-@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
-       side=st.sampled_from(["left", "right"]), kinds=st.tuples(symbol_kinds, symbol_kinds),
-       extra=st.integers(0, 2), max_level=st.sampled_from([None, 0, 1, 3]))
-def test_range_orthogonality_matches_basis_pairs(seed, n, side, kinds, extra, max_level):
-    rng = np.random.default_rng(seed)
-    a, b = (_symbol(rng, n, kind) for kind in kinds)
-    N = max(a.degree(), b.degree()) + extra
-    X, Y = series_to_op(a, n, N, side), series_to_op(b, n, N, side)
-    level = min(X.frontier, Y.frontier, max_level if max_level is not None else N)
-    want = _range_overlap_by_pairs(X, Y, level)
-    assert abs(range_orthogonality(X, Y, max_level) - want) <= 1e-12
 
 
 @settings(deadline=None, max_examples=40)
@@ -294,56 +266,6 @@ def test_isometry_check_matches_dense_gram(seed, n, side, kind, extra):
         assert not isometric
     else:
         assert isometric
-
-
-def test_remark_pair_polynomial_example():
-    f = ScalarSeries.make([0.5, 0.5])
-    g = ScalarSeries.make([0.5, -0.5])
-    L, X = remark_pair(f, g, 2, 8)
-    assert X.symbol.coeffs == {word(1, 2): 1.0, word(2, 2): -1.0}
-    assert range_orthogonality(L, X, max_level=4) <= 1e-12
-    check_isometric_on_frontier(L)
-    assert abs(op_norm(X) - math.sqrt(2)) <= 1e-12
-
-
-def test_remark_pair_phase_law():
-    phi, psi = 0.7, -1.1
-    f = ScalarSeries.make([0.5 * np.exp(1j * phi), 0.5 * np.exp(1j * phi)])
-    g = ScalarSeries.make([0.5 * np.exp(1j * psi), -0.5 * np.exp(1j * psi)])
-    L, X = remark_pair(f, g, 2, 8)
-    alpha, beta = f.coeff(0), g.coeff(0)
-    denom = abs(alpha) ** 2 + abs(beta) ** 2
-    lam = -X.symbol.coeff(word(2, 2)) * denom / alpha
-    assert abs(abs(lam) - 1.0) <= 1e-12
-    assert abs(lam * alpha * beta.conjugate() - alpha.conjugate() * beta) <= 1e-12
-    assert range_orthogonality(L, X, max_level=4) <= 1e-12
-
-
-def test_remark_pair_rejects_modulus_violation():
-    with pytest.raises(ValueError):
-        remark_pair(ScalarSeries.make([1.0]), ScalarSeries.make([1.0]), 2, 6)
-
-
-# -- irreducibility hypotheses ----------------------------------------------------
-
-
-def test_irreducibility_examples():
-    s = FreeSeries.make(2, {word(1): 1 / math.sqrt(2), word(2): 1 / math.sqrt(2)})
-    assert irreducibility_hypothesis(s, 1)
-    mixed = FreeSeries.make(
-        3, {word(1): 1 / math.sqrt(2), word(2, 2): 0.5, word(3, 3, 3): 0.5}
-    )
-    assert irreducibility_hypothesis(mixed, 1)
-    w = FreeSeries.make(2, {word(1, 2): 1.0})
-    assert not irreducibility_hypothesis(w, 2)
-    assert irreducibility_hypothesis(w, 2, form="relaxed")
-
-
-def test_irreducibility_validation():
-    with pytest.raises(ValueError):
-        irreducibility_hypothesis(FreeSeries.make(2, {word(1): 0.5}), 1)
-    with pytest.raises(ValueError):
-        irreducibility_hypothesis(FreeSeries.make(2, {Word(): 1.0}), 1)
 
 
 # -- ball search -------------------------------------------------------------------

@@ -8,14 +8,13 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_series
+from conftest import random_series, random_vector
 from fockalg import operators
 from fockalg.calculus import apply_series
-from fockalg.fock import FockVector, inner, random_vector
+from fockalg.fock import FockVector
 from fockalg.hardy import ScalarSeries, harmonic_series
 from fockalg.operators import (
     FreeSeries,
-    adjoint,
     adjoint_power_orbit,
     cesaro_sum,
     commutant_residual,
@@ -23,14 +22,12 @@ from fockalg.operators import (
     contraction_status,
     creation_op,
     decompose_at,
-    defect_ranks,
     fourier_of,
     gram,
-    identity_op,
+    numerical_rank,
     op_from_matrix,
     op_norm,
     range_complement_level_dims,
-    recompose,
     series_to_op,
     symbol_norm_bound,
 )
@@ -93,16 +90,6 @@ def test_fourier_roundtrip(rng):
         assert (fourier_of(X, 5) - s).sup_abs() == 0
 
 
-def test_fourier_of_matrix_backed():
-    s = FreeSeries.make(2, {Word(): 0.5, word(2, 1): -1j})
-    X = series_to_op(s, 2, 4)
-    M = op_from_matrix(X.dense(), 2, 4, frontier=X.frontier)
-    assert (fourier_of(M, 4) - s).sup_abs() <= 1e-15
-    assert (fourier_of(M, 1) - s.truncate(1)).sup_abs() <= 1e-15
-    with pytest.raises(ValueError):
-        fourier_of(M, 5)
-
-
 # -- graded decomposition -------------------------------------------------------
 
 
@@ -138,7 +125,6 @@ def test_decompose_reconstruction_exact(rng, k):
         s = random_series(rng, n, 5, 8)
         scalars, corners = decompose_at(s, k)
         assert (brute_reconstruct(n, k, scalars, corners) - s).sup_abs() == 0
-        assert (recompose(n, k, scalars, corners) - s).sup_abs() == 0
 
 
 # -- adjoints and products ------------------------------------------------------
@@ -148,12 +134,6 @@ def test_adjoint_strips_prefix():
     L = creation_op("left", word(1), 2, 3)
     assert L.apply_adjoint(FockVector.basis(2, 3, word(1, 2))).coeffs == {word(2): 1.0}
     assert L.apply_adjoint(FockVector.basis(2, 3, word(2))).coeffs == {}
-
-
-def test_adjoint_involution(rng):
-    s = random_series(rng, 2, 2, 4)
-    X = series_to_op(s, 2, 4)
-    assert np.allclose(adjoint(adjoint(X)).dense(), X.dense())
 
 
 def _adjoint_per_term(X, xi):
@@ -193,14 +173,15 @@ def test_compose_words():
 def test_compose_identity(rng):
     s = random_series(rng, 2, 2, 4)
     X = series_to_op(s, 2, 4)
-    assert np.allclose(compose(X, identity_op(2, 4)).dense(), X.dense())
+    identity = series_to_op(FreeSeries.one(2), 2, 4)
+    assert np.allclose(compose(X, identity).dense(), X.dense())
 
 
 def test_row_isometry_on_frontier():
     n, N = 2, 4
     s = FreeSeries.make(n, {word(1): 1 / math.sqrt(2), word(2): 1 / math.sqrt(2)})
     L = series_to_op(s, n, N)
-    prod = compose(adjoint(L), L).dense()
+    prod = L.dense().conj().T @ L.dense()
     idx = BasisIndexer(n, N)
     cols = idx.level_offset(L.frontier + 1)
     assert np.allclose(prod[:, :cols], np.eye(idx.size)[:, :cols], atol=1e-12)
@@ -246,11 +227,14 @@ def test_matrix_backed_operator_is_only_measured():
     M = op_from_matrix(X.dense(), 2, 3)
     xi = FockVector.basis(2, 3, Word())
     for act in (lambda: M.apply(xi), lambda: M.apply_adjoint(xi), lambda: M + M,
-                lambda: X + M, lambda: M.scale(2.0), lambda: contraction_status(M)):
+                lambda: X + M, lambda: M.scale(2.0), lambda: contraction_status(M),
+                lambda: compose(M, X), lambda: compose(X, M), lambda: fourier_of(M, 2)):
         with pytest.raises(ValueError, match="symbol-backed"):
             act()
-    with pytest.raises(ValueError, match="same side"):
-        X + creation_op("right", word(1), 2, 3)
+    R = creation_op("right", word(1), 2, 3)
+    for act in (lambda: X + R, lambda: compose(X, R), lambda: compose(R, X)):
+        with pytest.raises(ValueError, match="same side"):
+            act()
 
 
 def test_apply_matches_matrix(rng):
@@ -545,9 +529,16 @@ def test_cesaro_vacuum_convergence(rng):
 # -- defect ranks and codimension ---------------------------------------------
 
 
+def _defect_ranks(L):
+    """(rank(I - L L*), rank(I - L* L)) of the compression by numerical_rank."""
+    m = L.dense()
+    eye = np.eye(m.shape[0], dtype=complex)
+    return numerical_rank(eye - m @ m.conj().T), numerical_rank(eye - m.conj().T @ m)
+
+
 def test_defect_ranks_shift():
     L = creation_op("left", word(1), 2, 2)
-    assert defect_ranks(L) == (4, 4)
+    assert _defect_ranks(L) == (4, 4)
 
 
 def test_defect_ranks_overflow_count():
@@ -555,12 +546,13 @@ def test_defect_ranks_overflow_count():
     w = word(1, 2)
     L = creation_op("left", w, n, N)
     killed = sum(n**k for k in range(N + 1) if len(w) + k > N)
-    assert defect_ranks(L)[1] == killed
+    assert _defect_ranks(L)[1] == killed
 
 
 def test_defect_ranks_scalar_unitary():
+    # I - U U* is roundoff only, which the rank floor must not count
     U = series_to_op(FreeSeries.make(2, {Word(): np.exp(0.3j)}), 2, 2)
-    assert defect_ranks(U) == (0, 0)
+    assert _defect_ranks(U) == (0, 0)
 
 
 def test_range_complement_examples():
@@ -581,7 +573,7 @@ def test_range_complement_bound(rng):
 
 def test_range_complement_hypothesis_flagged():
     with pytest.raises(ValueError):
-        range_complement_level_dims(identity_op(2, 3), 1)
+        range_complement_level_dims(series_to_op(FreeSeries.one(2), 2, 3), 1)
 
 
 # -- structural invariants ------------------------------------------------------
@@ -622,7 +614,8 @@ def test_unitary_rigidity_bessel(rng):
 
 def test_series_records_roundtrip():
     s = FreeSeries.make(2, {Word(): 0.5, word(2, 1): -1j, word(1): 2.0})
-    back = FreeSeries.from_records(2, s.to_records())
+    back = FreeSeries.make(2, {Word.parse(r["word"]): complex(r["re"], r["im"])
+                               for r in s.to_records()})
     assert (back - s).sup_abs() == 0
 
 
@@ -632,15 +625,12 @@ def test_frontier_rules():
     assert X.frontier == N - 2
     prod = compose(X, X)
     assert prod.frontier == N - 4
-    A = op_from_matrix(X.dense(), n, N, frontier=3)
-    B = op_from_matrix(X.dense(), n, N, frontier=2)
-    assert compose(A, B).frontier == 2
-    assert adjoint(X).frontier == N
+    assert op_from_matrix(X.dense(), n, N).frontier == N
 
 
 def test_frontier_of_sums_and_products():
     n, N = 2, 5
-    I = identity_op(n, N)
+    I = series_to_op(FreeSeries.one(n), n, N)
     H = apply_series(harmonic_series(4), creation_op("left", word(1, 1), n, N))
     assert H.frontier == -1
     assert (H + I).frontier == -1

@@ -90,6 +90,19 @@ def test_fourier_roundtrip(rng):
         assert (fourier_of(X, 5) - s).sup_abs() == 0
 
 
+def test_fourier_of_matrix_backed():
+    # Fourier data comes from the symbol; a matrix-backed operator has none
+    s = FreeSeries.make(2, {Word(): 0.5, word(2, 1): -1j})
+    X = series_to_op(s, 2, 4)
+    M = op_from_matrix(X.dense(), 2, 4)
+    assert (fourier_of(X, 1) - s.truncate(1)).sup_abs() == 0
+    for depth in (1, 4):
+        with pytest.raises(ValueError, match="symbol-backed"):
+            fourier_of(M, depth)
+    with pytest.raises(ValueError, match="exceeds truncation"):
+        fourier_of(M, 5)
+
+
 # -- graded decomposition -------------------------------------------------------
 
 
@@ -228,7 +241,7 @@ def test_matrix_backed_operator_is_only_measured():
     xi = FockVector.basis(2, 3, Word())
     for act in (lambda: M.apply(xi), lambda: M.apply_adjoint(xi), lambda: M + M,
                 lambda: X + M, lambda: M.scale(2.0), lambda: contraction_status(M),
-                lambda: compose(M, X), lambda: compose(X, M), lambda: fourier_of(M, 2)):
+                lambda: compose(M, X), lambda: compose(X, M)):
         with pytest.raises(ValueError, match="symbol-backed"):
             act()
     R = creation_op("right", word(1), 2, 3)

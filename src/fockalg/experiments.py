@@ -411,25 +411,18 @@ def exp_eigenvector(lam_tuple: tuple[complex, ...] | None = None, n: int = 2,
     if lam_norm >= 1:
         raise ValueError(f"need ||lam|| < 1, got {lam_norm}")
     BasisIndexer(n, N)  # raises BasisCapExceeded before any level is built
-    level = {Word(): 1.0 + 0.0j}
-    coeffs = dict(level)
+    # the powers of z = sum_i conj(lam_i) z_i, each level once
+    z = FockVector.make(n, N, {Word((i,)): t.conjugate() for i, t in enumerate(lam_tuple, 1)})
+    power = raw = FockVector.basis(n, N, Word())
     for _ in range(N):
-        nxt = {}
-        for w, c in level.items():
-            for i in range(1, n + 1):
-                nxt[Word(w + (i,))] = c * lam_tuple[i - 1].conjugate()
-        coeffs.update(nxt)
-        level = nxt
-    raw = FockVector.make(n, N, {w: c for w, c in coeffs.items() if c != 0})
+        power = power.mul(z)
+        raw = raw.add(power)
     vec = raw.scale(1.0 / raw.norm())
     residuals = []
     for i in range(1, n + 1):
         lhs = creation_op(RIGHT, Word((i,)), n, N).apply_adjoint(vec)
-        want = lam_tuple[i - 1].conjugate()
-        # over the words shorter than N stored in either vector; the rest give 0
-        pairs = [(lhs.coeff(w), a) for w, a in vec.coeffs.items() if len(w) < N]
-        pairs += [(lhs.coeffs[w], 0j) for w in lhs.coeffs.keys() - vec.coeffs.keys()]
-        residuals.append(max((abs(x - want * y) for x, y in pairs), default=0.0))
+        # R_i* vec lives on the levels below N, where it equals conj(lam_i) vec
+        residuals.append(lhs.sub(vec.truncate(N - 1).scale(lam_tuple[i - 1].conjugate())).sup_abs())
     eigen_residual = max(residuals)
     verdict = eigen_residual <= tol
     return Report(

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fock import FockVector, FreeSeries, convolve
+from .fock import FockVector, FreeSeries, _convolve
 from .words import (BasisCapExceeded, BasisIndexer, Word, _derived, enumerate_words, strip_prefix,
                     strip_suffix)
 
@@ -49,6 +49,8 @@ class TruncOp:
             raise ValueError("exactly one of symbol or matrix must be given")
         if symbol is not None and side not in (LEFT, RIGHT):
             raise ValueError("symbol-backed operator needs side 'left' or 'right'")
+        if symbol is not None and (symbol.n, symbol.N) != (n, None):
+            raise ValueError(f"symbol must be a series on the operator's alphabet {n}")
         self.n = n
         self.N = N
         self.symbol = symbol
@@ -95,18 +97,19 @@ class TruncOp:
 
     # -- vector action ------------------------------------------------------
 
-    def apply(self, xi: FockVector) -> FockVector:
+    def _check_vector(self, xi: FockVector) -> None:
         if (xi.n, xi.N) != (self.n, self.N):
             raise ValueError("vector lives in a different truncated space")
         self._require_symbol("vector action")
+
+    def apply(self, xi: FockVector) -> FockVector:
+        self._check_vector(xi)
         s = self.symbol.coeffs
-        out = convolve(s, xi.coeffs, self.N) if self.side == LEFT else convolve(xi.coeffs, s, self.N)
-        return FockVector.make(self.n, self.N, out)
+        out = _convolve(s, xi.coeffs, self.N) if self.side == LEFT else _convolve(xi.coeffs, s, self.N)
+        return xi._like(out)
 
     def apply_adjoint(self, xi: FockVector) -> FockVector:
-        if (xi.n, xi.N) != (self.n, self.N):
-            raise ValueError("vector lives in a different truncated space")
-        self._require_symbol("vector action")
+        self._check_vector(xi)
         # L_w* xi_v = xi_t when v = wt (R_w* xi_v = xi_t when v = tw).  For a
         # fixed v each length of w gives at most one match, so the symbol is
         # grouped by length and each v costs one slice and lookup per length.
@@ -130,7 +133,7 @@ class TruncOp:
             for (_, a_conj), k in hits:
                 t = _derived(v[k:] if left else v[:m - k])
                 out[t] = out.get(t, 0.0) + a_conj * c
-        return FockVector.make(self.n, self.N, out)
+        return xi._like(out)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -194,8 +197,6 @@ def creation_op(side: str, w: Word, n: int, N: int) -> TruncOp:
 
 def series_to_op(s: FreeSeries, n: int, N: int, side: str = LEFT) -> TruncOp:
     """Realize the symbol s on the truncated basis; frontier = N - deg(s)."""
-    if s.n != n:
-        raise ValueError("series alphabet does not match")
     if s.degree() > N:
         raise ValueError(f"symbol degree {s.degree()} exceeds truncation {N}")
     return TruncOp(n, N, symbol=s, side=side)

@@ -74,3 +74,8 @@ def test_validation():
         FreeSeries(2, {Word(): 1.0, word(1): 1.0, word(2, 3): 1.0})
     with pytest.raises(ValueError, match=r"Word\(z1 z1\)"):
         FockVector(2, 1, {Word(): 1.0, word(1, 1): 1.0})
+    # the space is checked before the words, so no word is blamed for it
+    for act in (lambda: FockVector(2, -1, {}), lambda: FreeSeries(0, {}), lambda: FreeSeries.zero(0),
+                lambda: FreeSeries(0, {word(1): 1.0}), lambda: FockVector.make(0, 2, {word(1): 1.0})):
+        with pytest.raises(ValueError, match="need n >= 1 and N >= 0"):
+            act()

@@ -175,6 +175,48 @@ def test_apply_adjoint_matches_per_term_strips(seed, n, side, degree):
     assert list(got.coeffs.items()) == list(want.coeffs.items())
 
 
+def _assert_checked(m):
+    """m holds complex values and passes the entry check of its public constructor."""
+    assert all(type(c) is complex for c in m.coeffs.values())
+    again = FreeSeries(m.n, m.coeffs) if m.N is None else FockVector(m.n, m.N, m.coeffs)
+    assert again == m
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3]),
+       side=st.sampled_from(["left", "right"]), degree=st.integers(0, 4))
+def test_derived_maps_pass_the_entry_check(seed, n, side, degree):
+    """Entry points store complex values; maps built from checked maps skip the
+    entry check, and it would have passed."""
+    rng = np.random.default_rng(seed)
+    N = 6
+    s, t = random_series(rng, n, degree, 8), random_series(rng, n, N, 8)
+    xi, eta = (FockVector.make(n, N, random_series(rng, n, N, 20).coeffs) for _ in range(2))
+    X = series_to_op(s, n, N, side)
+    a = complex(*rng.standard_normal(2))
+    derived = [s.add(t), s.sub(t), s.sub(s), s.scale(a), s.scale(np.float64(a.real)),
+               s.scale(np.complex128(a)), s.scale(0), t.truncate(degree), s.mul(t),
+               s.mul(t, max_degree=degree), xi.add(eta), xi.sub(xi), xi.scale(a), xi.truncate(degree),
+               xi.mul(eta), X.apply(xi), X.apply_adjoint(xi), compose(X, X).apply(eta)]
+    entered = [FreeSeries(n, {Word(): 1}), FockVector(n, N, {Word(): 2}), delta(n, Word(), 3),
+               FockVector.make(n, N, {Word(): np.float64(0.5), Word((n,)): 0})]
+    for m in entered + derived:
+        _assert_checked(m)
+
+
+def test_operator_and_vector_spaces_must_match():
+    with pytest.raises(ValueError, match="alphabet"):
+        operators.TruncOp(2, 4, symbol=FreeSeries.delta(3, Word((3,))), side="left")
+    for s in (FreeSeries.delta(3, word(1)), FockVector.basis(2, 4, word(1))):
+        with pytest.raises(ValueError, match="alphabet"):
+            series_to_op(s, 2, 4)
+    X = creation_op("right", word(1), 2, 4)
+    for xi in (FockVector.basis(2, 3, word(1)), FockVector.basis(3, 4, word(1)), delta(2, word(1))):
+        for act in (X.apply, X.apply_adjoint):
+            with pytest.raises(ValueError, match="different truncated space"):
+                act(xi)
+
+
 def test_compose_words():
     n, N = 2, 4
     prod = compose(creation_op("left", word(1), n, N), creation_op("left", word(2), n, N))

@@ -195,21 +195,38 @@ def classify_word_factorization(b: FreeSeries, c: FreeSeries, w: Word) -> tuple[
     return math.sqrt(max(d2, 0.0)), split, lam
 
 
+def _scatter(basis: list[Word], n: int, N: int):
+    """vec -> compression of sum_u vec_u L_u on F^2_N, one scatter of the
+    coefficients (the P_N L_u P_N have disjoint 0/1 supports)."""
+    supports = [np.flatnonzero(creation_op(LEFT, u, n, N).dense()) for u in basis]
+    flat, dim = np.concatenate(supports), BasisIndexer(n, N).size
+    owner = np.repeat(np.arange(len(supports)), [s.size for s in supports])
+
+    def matrix(vec: np.ndarray) -> np.ndarray:
+        out = np.zeros(dim * dim, dtype=complex)
+        out[flat] = vec[owner]
+        return out.reshape(dim, dim)
+    return matrix
+
+
 class _BallProblem:
     """B C = L_w over coefficient vectors indexed by the words |u| <= degree.
 
     kernel[t, u, v] = sqrt(m_|t|) when uv = t: kernel @ c and b @ kernel are
-    the weighted designs of b -> b*c and c -> b*c.  A vector's compression is
-    a scatter of its coefficients (the P_N L_u P_N have disjoint 0/1 supports).
+    the weighted designs of b -> b*c and c -> b*c.  ``matrix`` scatters a
+    vector into its compression on F^2_N; ``sigma`` takes that compression's
+    sigma_max exactly from the one on F^2_{N-1}, half its size.
     """
 
     def __init__(self, w: Word, degree: int, n: int, N: int):
         root_m = [math.sqrt(sum(n**j for j in range(N - d + 1))) for d in range(2 * degree + 1)]
         self.basis = list(BasisIndexer(n, degree).words())
         self.target = creation_op(LEFT, w, n, N).dense()
-        supports = [np.flatnonzero(creation_op(LEFT, u, n, N).dense()) for u in self.basis]
-        self._flat = np.concatenate(supports)
-        self._owner = np.repeat(np.arange(len(supports)), [s.size for s in supports])
+        self.matrix = _scatter(self.basis, n, N)
+        self._lower = _scatter(self.basis, n, N - 1) if N else None
+        if N:  # c_i[u'] = b_{u'i}: basis[1:] laid out by (last letter, rest) in an (n, dim) array
+            rest = BasisIndexer(n, N - 1)
+            self._tails = [(u[-1] - 1) * rest.size + rest.index_of(u[:-1]) for u in self.basis[1:]]
         products = BasisIndexer(n, 2 * degree)
         self.kernel = np.zeros((products.size, len(self.basis), len(self.basis)))
         for i, u in enumerate(self.basis):
@@ -218,17 +235,26 @@ class _BallProblem:
         self.wtarget = np.zeros(products.size, dtype=complex)
         self.wtarget[products.index_of(w)] = root_m[len(w)]
 
-    def matrix(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.target.size, dtype=complex)
-        out[self._flat] = vec[self._owner]
-        return out.reshape(self.target.shape)
-
     def sigma(self, vec: np.ndarray) -> float:
-        return float(np.linalg.norm(self.matrix(vec), 2))
+        """sigma_max of matrix(vec).  On F^2_N = C xi_0 + sum_i F^2_{N-1} R_i the
+        compression is [[b_0, 0], [c, I_n (x) M]], M the one on F^2_{N-1}; with
+        M^H M = V diag(g) V^H, sigma_max^2 is the top eigenvalue of the arrowhead
+        [[|b_0|^2 + sum_i |c_i|^2, sqrt(w)^T], [sqrt(w), diag(g)]],
+        w_j = sum_i |(c_i^H M V)_j|^2, which by interlacing is >= max(g)."""
+        if self._lower is None:  # N = 0: the compression is [b_0]
+            return float(abs(vec[0]))
+        M = self._lower(vec)
+        c = np.zeros(len(self.target) - 1, dtype=complex)  # dim F^2_N = 1 + n dim F^2_{N-1}
+        c[self._tails] = vec[1:]
+        g, V = np.linalg.eigh(M.conj().T @ M)
+        arrow = np.diag(np.concatenate(([np.vdot(vec, vec).real], g)))  # |b_0|^2 + sum |c_i|^2 = |vec|^2
+        arrow[0, 1:] = arrow[1:, 0] = np.linalg.norm(c.reshape(-1, len(M)).conj() @ M @ V, axis=0)
+        return math.sqrt(np.linalg.eigvalsh(arrow)[-1])
 
     def project(self, vec: np.ndarray) -> np.ndarray:
-        """Spectral scaling onto the unit ball: divide by sigma_max when > 1."""
-        sigma = self.sigma(vec)
+        """Spectral scaling onto the unit ball: divide by sigma_max (full SVD, as
+        op_norm takes it) when > 1."""
+        sigma = float(np.linalg.norm(self.matrix(vec), 2))
         return vec / sigma if sigma > 1.0 else vec
 
     def residual(self, b: np.ndarray, c: np.ndarray) -> float:
@@ -248,8 +274,9 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
     So ||P_N (B C - L_w) P_N||_F^2 = sum_t m_|t| |(b*c)_t - delta_{t,w}|^2, and
     each half-step is a linear least-squares problem in one factor's
     coefficients with one row per product word, weighted by sqrt(m_|t|).  The
-    convergence test reads that residual; spectral norms are taken on the
-    full compressions.  When the updated factor is projected (divided by its
+    convergence test reads that residual; sigma_max is exact from the level
+    split (_BallProblem.sigma) in the sweeps and a full SVD in the first and
+    last projections.  When the updated factor is projected (divided by its
     sigma_max), the discarded scale is carried into the other factor; the
     product is invariant under (tB, C/t), so the carry keeps the objective
     monotone where a bare projection stalls.  After 20 sweeps a run stops as
@@ -264,6 +291,8 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
     """
     if not len(w) <= 2 * degree <= N:
         raise ValueError("need |w| <= 2*degree <= N")
+    if restarts < 1 or max_iter < 1:
+        raise ValueError(f"need restarts >= 1 and max_iter >= 1, got {restarts} and {max_iter}")
     problem = _BallProblem(w, degree, n, N)
     basis = problem.basis
     m = len(basis)

@@ -68,6 +68,8 @@ def exp_adjoint_decay(lam: complex = 0.5, N: int = 4, kmax: int = 200,
     lam = complex(lam)
     if abs(lam) >= 1:
         raise ValueError(f"need |lam| < 1, got {abs(lam)}")
+    if kmax < 0:
+        raise ValueError(f"need kmax >= 0, got {kmax}")
     mu = math.sqrt(1.0 - abs(lam) ** 2)
     n = 2
     L = series_to_op(FreeSeries.make(n, {Word(): lam, Z1: mu}), n, N)
@@ -356,6 +358,8 @@ def exp_membership_witness(b_list: list[FreeSeries] | None = None,
     """Necessary identity sum_i b^i_{z1^k} c^i_0 = 1/(k+1) for k <= K; any
     candidate list violating it cannot represent sum_k L1^k L2/(k+1) as
     sum_i B_i L2 C_i.  Polynomial diagonals always fail beyond their degree."""
+    if K < 0:
+        raise ValueError(f"need K >= 0, got {K}")
     if (b_list is None) != (c_list is None):
         raise ValueError("provide both candidate lists or neither")
     if b_list is None:

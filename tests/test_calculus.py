@@ -444,9 +444,63 @@ def test_weighted_coefficient_residual_is_frobenius_residual(seed, n, degree, ex
     assert abs(problem.residual(b, c) - want) <= 1e-12 * want
 
 
+def _assert_sigma_is_svd(problem, vec):
+    want = np.linalg.norm(problem.matrix(vec), 2)
+    assert abs(problem.sigma(vec) - want) <= 1e-12 * want + 1e-300
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 3]),
+    degree=st.sampled_from([0, 1, 2]),
+    extra=st.integers(0, 2),
+    density=st.sampled_from([0.3, 1.0]),
+)
+def test_level_split_sigma_is_the_compression_norm(seed, n, degree, extra, density):
+    problem = _BallProblem(Word(), degree, n, 2 * degree + extra)
+    rng = np.random.default_rng(seed)
+    m = len(problem.basis)
+    vec = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * (rng.random(m) < density)
+    _assert_sigma_is_svd(problem, vec)
+
+
+@pytest.mark.parametrize("n, degree, N", [(2, 0, 0), (1, 1, 2), (2, 2, 5), (3, 1, 3)])
+def test_level_split_sigma_edge_vectors(n, degree, N):
+    problem = _BallProblem(Word(), degree, n, N)
+    m = len(problem.basis)
+    top = len(problem.basis[-1])
+    cases = [np.zeros(m, dtype=complex),
+             np.eye(1, m, dtype=complex)[0] * (0.3 - 0.4j),  # on xi_0 only
+             np.array([1.0 + 2j if len(u) == top else 0.0 for u in problem.basis])]
+    for vec in cases:
+        _assert_sigma_is_svd(problem, vec)
+
+
+def test_search_at_level_zero():
+    cands = search_ball_factorizations(Word(), 0, 2, 0, restarts=3, seed=1)
+    assert len(cands) == 3
+    for c in cands:
+        assert c.residual <= 1e-12
+        assert abs(c.b.coeff(Word()) * c.c.coeff(Word()) - 1) <= 1e-12
+
+
+def test_search_seed7_trajectories_are_pinned():
+    # the run-all case: which restarts end near, after how many sweeps, and at which splits
+    cands = search_ball_factorizations(word(1, 2), 2, 2, 5, restarts=32, seed=7)
+    near = {c.restart: c.iterations for c in cands if c.residual <= 1e-6}
+    assert near == {2: 5, 3: 4, 4: 3, 5: 6, 6: 3, 11: 4, 13: 5, 16: 4, 18: 5, 19: 3, 20: 4,
+                    21: 3, 22: 4, 23: 4, 24: 3, 25: 6, 26: 3, 27: 3, 28: 3, 29: 4, 30: 4, 31: 3}
+    splits = {f"{c.split[0]}|{c.split[1]}" for c in cands if c.residual <= 1e-6}
+    assert splits == {"z1 z2|", "|z1 z2"}
+
+
 def test_search_validates_sizes():
     with pytest.raises(ValueError):
         search_ball_factorizations(word(1, 2, 1), 1, 2, 5)
+    for restarts, max_iter in [(0, 300), (-1, 300), (4, 0)]:
+        with pytest.raises(ValueError, match="restarts >= 1 and max_iter >= 1"):
+            search_ball_factorizations(word(1, 2), 2, 2, 5, restarts=restarts, max_iter=max_iter)
 
 
 def test_apply_series_rejects_matrix_backed_operator():

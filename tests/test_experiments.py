@@ -305,6 +305,10 @@ def test_cli_failing_verdict_exit_code(capsys):
     ["ball-search", "--word", "zq"],
     ["codim-counts", "--n", "1"],
     ["cesaro", "--seed", "3"],  # cesaro takes no seed
+    ["ball-search", "--restarts", "0"],
+    ["ball-search", "--restarts", "-1"],
+    ["adjoint-decay", "--kmax", "-1"],
+    ["membership-witness", "--terms", "-1"],
 ])
 def test_cli_usage_and_input_errors_exit_2(argv, capsys):
     try:

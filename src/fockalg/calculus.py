@@ -252,9 +252,8 @@ class _BallProblem:
         return math.sqrt(np.linalg.eigvalsh(arrow)[-1])
 
     def project(self, vec: np.ndarray) -> np.ndarray:
-        """Spectral scaling onto the unit ball: divide by sigma_max (full SVD, as
-        op_norm takes it) when > 1."""
-        sigma = float(np.linalg.norm(self.matrix(vec), 2))
+        """Spectral scaling onto the unit ball: divide by sigma_max when > 1."""
+        sigma = self.sigma(vec)
         return vec / sigma if sigma > 1.0 else vec
 
     def residual(self, b: np.ndarray, c: np.ndarray) -> float:
@@ -274,11 +273,11 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
     So ||P_N (B C - L_w) P_N||_F^2 = sum_t m_|t| |(b*c)_t - delta_{t,w}|^2, and
     each half-step is a linear least-squares problem in one factor's
     coefficients with one row per product word, weighted by sqrt(m_|t|).  The
-    convergence test reads that residual; sigma_max is exact from the level
-    split (_BallProblem.sigma) in the sweeps and a full SVD in the first and
-    last projections.  When the updated factor is projected (divided by its
-    sigma_max), the discarded scale is carried into the other factor; the
-    product is invariant under (tB, C/t), so the carry keeps the objective
+    convergence test reads that residual; every sigma_max, in the sweeps and
+    the projections, is exact from the level split (_BallProblem.sigma).  When
+    the updated factor is projected (divided by its sigma_max), the discarded
+    scale is carried into the other factor; the product is invariant under
+    (tB, C/t), so the carry keeps the objective
     monotone where a bare projection stalls.  After 20 sweeps a run stops as
     soon as the last 10 sweeps fail to halve the residual: a converging run
     halves it well within 10 sweeps, while runs that end far from L_w sit in

@@ -162,6 +162,11 @@ def test_criterion_9_ball_search():
         assert c.manifold_distance <= 1e-3
         u, v = c.split
         assert Word(u.letters + v.letters) == word(1, 2)
+    # the run-all trajectories: which restarts end near, after how many sweeps, at which splits
+    assert {c.restart: c.iterations for c in near} == {
+        2: 5, 3: 4, 4: 3, 5: 6, 6: 3, 11: 4, 13: 5, 16: 4, 18: 5, 19: 3, 20: 4,
+        21: 3, 22: 4, 23: 4, 24: 3, 25: 6, 26: 3, 27: 3, 28: 3, 29: 4, 30: 4, 31: 3}
+    assert {f"{c.split[0]}|{c.split[1]}" for c in near} == {"z1 z2|", "|z1 z2"}
 
     n, N, K = 2, 8, 64
     g = reciprocal(harmonic_series(K), K)

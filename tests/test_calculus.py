@@ -485,16 +485,6 @@ def test_search_at_level_zero():
         assert abs(c.b.coeff(Word()) * c.c.coeff(Word()) - 1) <= 1e-12
 
 
-def test_search_seed7_trajectories_are_pinned():
-    # the run-all case: which restarts end near, after how many sweeps, and at which splits
-    cands = search_ball_factorizations(word(1, 2), 2, 2, 5, restarts=32, seed=7)
-    near = {c.restart: c.iterations for c in cands if c.residual <= 1e-6}
-    assert near == {2: 5, 3: 4, 4: 3, 5: 6, 6: 3, 11: 4, 13: 5, 16: 4, 18: 5, 19: 3, 20: 4,
-                    21: 3, 22: 4, 23: 4, 24: 3, 25: 6, 26: 3, 27: 3, 28: 3, 29: 4, 30: 4, 31: 3}
-    splits = {f"{c.split[0]}|{c.split[1]}" for c in cands if c.residual <= 1e-6}
-    assert splits == {"z1 z2|", "|z1 z2"}
-
-
 def test_search_validates_sizes():
     with pytest.raises(ValueError):
         search_ball_factorizations(word(1, 2, 1), 1, 2, 5)

@@ -280,36 +280,51 @@ def gram(a: FreeSeries, b: FreeSeries, side: str) -> dict[tuple[Word, bool], com
 
 
 def _spectral_norm(m) -> float:
+    # All-zero rows and columns carry no singular value, so both arms measure
+    # the block left once they are dropped: a compression of a degree-d symbol
+    # has zero columns on its top d levels and zero rows on its low levels.
+    # The arm follows the basis size: a full SVD up to DENSE_CAP, ARPACK beyond.
+    if sp.issparse(m) and m.shape[0] > DENSE_CAP:
+        m = m.tocsr()
+        if not m.data.any():
+            return 0.0
+        # built on m's data: slicing rows, then columns, would copy it twice
+        rows = np.flatnonzero(np.diff(m.indptr))
+        cols, indices = np.unique(m.indices, return_inverse=True)
+        m = sp.csr_matrix((m.data, indices, np.append(0, m.indptr[rows + 1])),
+                          shape=(rows.size, cols.size))
+        if min(m.shape) > 2:  # ARPACK needs k = 1 < min(shape) - 1
+            return _arpack_norm(m)
     if sp.issparse(m):
-        if m.shape[0] <= DENSE_CAP:
-            m = m.toarray()
-        else:
-            if m.nnz == 0:
-                return 0.0
-            try:
-                s = spla.svds(m.astype(complex), k=1, return_singular_vectors=False)
-                return float(s[0])
-            except (spla.ArpackNoConvergence, spla.ArpackError):
-                # power iteration on m^H m as a fallback
-                rng = np.random.default_rng(0)
-                x = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
-                x /= np.linalg.norm(x)
-                val = 0.0
-                for _ in range(200):
-                    y = m.conjugate().transpose() @ (m @ x)
-                    nrm = np.linalg.norm(y)
-                    if nrm == 0:
-                        return 0.0
-                    x = y / nrm
-                    if abs(nrm - val) <= 1e-12 * nrm:
-                        return float(np.sqrt(nrm))
-                    val = nrm
-                warnings.warn("power iteration did not converge in 200 steps; "
-                              "the spectral norm estimate may be low", RuntimeWarning)
-                return float(np.sqrt(val))
-    # all-zero rows and columns carry no singular value
+        m = m.toarray()
     m = m[np.ix_(m.any(axis=1), m.any(axis=0))]
     return float(np.linalg.norm(m, 2)) if m.size else 0.0
+
+
+def _arpack_norm(m: sp.csr_matrix) -> float:
+    """svds from a fixed start, so that repeated calls agree bitwise; power
+    iteration on m^H m if ARPACK fails."""
+    try:
+        s = spla.svds(m, k=1, return_singular_vectors=False, rng=np.random.default_rng(0))
+        return float(s[0])
+    except (spla.ArpackNoConvergence, spla.ArpackError):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
+        x /= np.linalg.norm(x)
+        mh = m.conjugate().transpose()
+        val = 0.0
+        for _ in range(200):
+            y = mh @ (m @ x)
+            nrm = np.linalg.norm(y)
+            if nrm == 0:
+                return 0.0
+            x = y / nrm
+            if abs(nrm - val) <= 1e-12 * nrm:
+                return float(np.sqrt(nrm))
+            val = nrm
+        warnings.warn("power iteration did not converge in 200 steps; "
+                      "the spectral norm estimate may be low", RuntimeWarning)
+        return float(np.sqrt(val))
 
 
 def symbol_norm_bound(s: FreeSeries) -> float:

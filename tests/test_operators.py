@@ -421,6 +421,25 @@ def test_spectral_norm_of_trimmed_block(seed, rows, cols):
     want = np.linalg.norm(m, 2)
     assert abs(operators._spectral_norm(m) - want) <= 1e-13 * max(1.0, want)
     assert operators._spectral_norm(np.zeros((rows, cols), dtype=complex)) == 0.0
+    # the sparse arm, on the block and on its first column alone
+    _assert_sparse_norm(rng, m)
+    _assert_sparse_norm(rng, m[:, :1])
+
+
+def _assert_sparse_norm(rng, block):
+    """block scattered over an 8191-square CSR (> DENSE_CAP) at distinct
+    random rows and columns keeps only its own singular values."""
+    size = 8191
+    r = rng.choice(size, block.shape[0], replace=False)
+    c = rng.choice(size, block.shape[1], replace=False)
+    i, j = np.nonzero(block)
+    m = sp.csr_matrix((block[i, j], (r[i], c[j])), shape=(size, size))
+    want = np.linalg.norm(block, 2)
+    assert abs(operators._spectral_norm(m) - want) <= 1e-12 * want
+    # the whole block stored, as explicit zeros
+    zeros = sp.csr_matrix((np.zeros(block.size), (np.repeat(r, c.size), np.tile(c, r.size))),
+                          shape=(size, size))
+    assert zeros.nnz == block.size and operators._spectral_norm(zeros) == 0.0
 
 
 # -- commutant ----------------------------------------------------------------
@@ -756,11 +775,17 @@ def _broken_call(*args, **kwargs):
 
 
 def test_spectral_norm_fallback_on_arpack_failure(monkeypatch):
-    monkeypatch.setattr(operators.spla, "svds", _no_convergence)
+    shapes = []
+    monkeypatch.setattr(operators.spla, "svds",
+                        lambda m, **kwargs: shapes.append(m.shape) or _no_convergence())
     L = creation_op("left", word(1, 2), 2, 12)  # basis 8191: sparse arm
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # converges at once: no warning
         assert abs(op_norm(L) - 1.0) <= 1e-9
+    # ARPACK and the fallback see the nonzero block: L_{12} sends the 2047
+    # basis words of levels 0 to 10 to distinct words, and those of levels
+    # 11 and 12 past N = 12
+    assert shapes == [(2047, 2047)]
     # singular values crowding up to 1 keep the estimate creeping past the cap
     crowded = op_from_matrix(sp.diags(np.linspace(0.5, 1.0, 8191)).tocsr().astype(complex), 2, 12)
     with pytest.warns(RuntimeWarning, match="did not converge"):
@@ -769,3 +794,13 @@ def test_spectral_norm_fallback_on_arpack_failure(monkeypatch):
     monkeypatch.setattr(operators.spla, "svds", _broken_call)
     with pytest.raises(TypeError):
         op_norm(creation_op("left", word(1, 2), 2, 12))
+
+
+def test_sparse_norm_is_reproducible():
+    # ARPACK starts from a seeded vector, so fresh copies of one operator
+    # (op_norm keeps the norm per copy) give the same float
+    s = FreeSeries.make(2, {word(1, 2): 0.3 + 0.1j, word(2, 2): 0.5, word(2, 1): -0.2j})
+    for side in ("left", "right"):
+        norms = {op_norm(series_to_op(s, 2, 12, side)) for _ in range(6)}  # basis 8191
+        assert len(norms) == 1
+        assert abs(norms.pop() - s.l2_norm()) <= 1e-12

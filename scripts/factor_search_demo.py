@@ -5,15 +5,24 @@ Usage: factor_search_demo.py [WORD] [RESTARTS] [SEED] [DEGREE]
 with WORD like "z1 z2" (default), RESTARTS 16, SEED 7, DEGREE |WORD| by
 default.  Factors whose top degree equals the cap snap cleanly; shorter
 targets searched with a larger cap tend to crawl in flat valleys instead.
+Bad input is reported in one line on stderr with exit code 2.
 """
 
 import sys
 
 from fockalg.calculus import search_ball_factorizations
-from fockalg.words import Word
+from fockalg.words import BasisCapExceeded, Word
 
 
 def main():
+    try:
+        search()
+    except (ValueError, BasisCapExceeded) as exc:
+        print(f"factor_search_demo: error: {exc}", file=sys.stderr)
+        sys.exit(2)
+
+
+def search():
     w = Word.parse(sys.argv[1]) if len(sys.argv) > 1 else Word((1, 2))
     restarts = int(sys.argv[2]) if len(sys.argv) > 2 else 16
     seed = int(sys.argv[3]) if len(sys.argv) > 3 else 7

@@ -8,7 +8,9 @@ the operator
 
 and the map h -> h(X) L is isometric.  Both hypotheses are checked exactly,
 on the coefficients of the Gram symbols X* X, L* L and L* X^d L
-(operators.gram), not on sample vectors.  With f the harmonic-coefficient series
+(operators.gram), not on sample vectors.  One power-series path builds
+sum_k h_k X^k: apply_series returns it, and h2_times_isometry composes it
+with L.  With f the harmonic-coefficient series
 and g its reciprocal, g(X) (f(X) L) = L coefficientwise, which exhibits
 nontrivial factorizations of single-letter isometries.  The unit-ball picture
 is the opposite: a word isometry L_w only factors as the word splits, which
@@ -52,13 +54,9 @@ def _require_contraction(X: TruncOp) -> None:
         warnings.warn(f"contraction unchecked: {reason}", RuntimeWarning, stacklevel=3)
 
 
-def apply_series(h: ScalarSeries, X: TruncOp) -> TruncOp:
-    """sum_{k<=K} h_k X^k for a symbol-backed contraction X.
-
-    The frontier is the least frontier of the powers X^k that enter the sum.
-    """
-    X._require_symbol("series functional calculus")
-    _require_contraction(X)
+def _power_series(h: ScalarSeries, X: TruncOp) -> TruncOp:
+    """sum_{k<=K} h_k X^k; the frontier is the least frontier of the powers
+    X^k that enter the sum."""
     acc = FreeSeries.zero(X.n)
     frontier = X.N
     power = series_to_op(FreeSeries.one(X.n), X.n, X.N, side=X.side)
@@ -72,6 +70,12 @@ def apply_series(h: ScalarSeries, X: TruncOp) -> TruncOp:
     return TruncOp(X.n, X.N, symbol=acc, side=X.side, frontier=frontier)
 
 
+def apply_series(h: ScalarSeries, X: TruncOp) -> TruncOp:
+    """sum_{k<=K} h_k X^k for a contraction X."""
+    _require_contraction(X)
+    return _power_series(h, X)
+
+
 def _largest(g: dict[tuple[Word, bool], complex]) -> float:
     """Largest |coefficient| of a gram map."""
     return max(map(abs, g.values()), default=0.0)
@@ -83,7 +87,6 @@ def check_isometric_on_frontier(X: TruncOp) -> None:
     at every truncation."""
     if X.frontier < 0:
         raise ValueError("operator has empty exact region")
-    X._require_symbol("an isometry check")
     g = gram(X.symbol, X.symbol, X.side)
     one = (Word(), False)
     g[one] = g.get(one, 0.0) - 1.0
@@ -98,32 +101,23 @@ def h2_times_isometry(h: ScalarSeries, X: TruncOp, L: TruncOp) -> TruncOp:
     Both hypotheses are exact Gram checks on the symbols.  X and L must be
     isometries (check_isometric_on_frontier); then (X^j L)* X^k L = L* X^(k-j) L,
     so the ranges of the X^k L whose symbols fit in the truncation are pairwise
-    orthogonal once gram(L, X^d L) vanishes for each of those d >= 1.
+    orthogonal once gram(L, X^d L) vanishes for each of those d >= 1.  The
+    product is compose(h(X), L), whose frontier is N - deg h deg X - deg L.
     """
     X._same_space(L)
-    if not (X.is_symbolic and L.is_symbolic and X.side == L.side == LEFT):
-        raise ValueError("series times isometry needs left-symbol operators")
+    if not X.side == L.side == LEFT:
+        raise ValueError("series times isometry needs left symbol-backed operators")
     check_isometric_on_frontier(X)
     check_isometric_on_frontier(L)
-    degs = max(1, X.symbol.degree())
-    kchk = min(h.order, max(0, (X.N - L.symbol.degree()) // degs))
-    keff = h.degree()
-    acc = FreeSeries.zero(X.n)
-    power = FreeSeries.one(X.n)
-    for k in range(max(keff, kchk) + 1):
-        if k:
-            power = X.symbol.mul(power, max_degree=X.N)
-        term = power.mul(L.symbol, max_degree=X.N)
-        if 1 <= k <= kchk:
-            ov = _largest(gram(L.symbol, term, LEFT))
-            if ov > ORTHOGONALITY_TOL:
-                raise ValueError(f"ranges of L and X^{k} L overlap "
-                                 f"(L* X^{k} L has a coefficient {ov:.3e})")
-        c = h.coeff(k)
-        if c != 0:
-            acc = acc.add(term.scale(c))
-    frontier = max(X.N - (keff * X.symbol.degree() + L.symbol.degree()), -1)
-    return TruncOp(X.n, X.N, symbol=acc, side=LEFT, frontier=frontier)
+    kchk = min(h.order, max(0, (X.N - L.symbol.degree()) // max(1, X.symbol.degree())))
+    term = L.symbol
+    for k in range(1, kchk + 1):
+        term = X.symbol.mul(term, max_degree=X.N)
+        ov = _largest(gram(L.symbol, term, LEFT))
+        if ov > ORTHOGONALITY_TOL:
+            raise ValueError(f"ranges of L and X^{k} L overlap "
+                             f"(L* X^{k} L has a coefficient {ov:.3e})")
+    return compose(_power_series(h, X), L)
 
 
 def verify_factorization(g: ScalarSeries, X: TruncOp, A: TruncOp, target: TruncOp,

@@ -49,6 +49,8 @@ CERTIFICATE_TOL = 1e-6  # membership witness: a deviation above this certifies
 NEAR_RESIDUAL = 1e-6  # ball search: a candidate this close is a near factorization
 CLASSIFICATION_TOL = 1e-3  # ball search: distance to the word-split family
 FEASIBILITY_TOL = 1e-12  # ball search: slack on the factors' symbol bounds
+M_SMALL, M_LARGE = 10, 1000  # ideal counterexample: first and last partial-sum checkpoints
+WITNESS_DEGREE = 8  # membership witness: degree of the default polynomial diagonal
 
 Z1 = Word((1,))
 Z2 = Word((2,))
@@ -292,7 +294,6 @@ def exp_thin_isometry(n: int = 2, kmax: int = 2, N: int | None = None,
 
 
 def exp_ideal_counterexample(a: FreeSeries | None = None, n: int = 2, N: int = 12,
-                             m_small: int = 10, m_large: int = 1000,
                              grid: int = 2048, tol: float = 1e-12) -> Report:
     """Compression identity Q L2* L_v* J Q = a_v sum_k lam_k L1^k Q for the
     candidate J ~ sum a_w lam_k L_w L2 L1^k, plus sup-norm growth of the
@@ -323,18 +324,17 @@ def exp_ideal_counterexample(a: FreeSeries | None = None, n: int = 2, N: int = 1
             got = chain.get(m, 0.0)
             identity_err = max(identity_err, abs(got - want))
 
-    diag = ScalarSeries.make([IDEAL_SCALE / (k + 1) for k in range(m_large + 1)])
-    checkpoints = sorted({m_small, 32, 100, 316, m_large})
-    sups = {m: partial_sum_sup(diag, m, grid) for m in checkpoints if m <= m_large}
-    ratio = sups[m_large] / sups[m_small]
+    diag = ScalarSeries.make([IDEAL_SCALE / (k + 1) for k in range(M_LARGE + 1)])
+    sups = {m: partial_sum_sup(diag, m, grid) for m in (M_SMALL, 32, 100, 316, M_LARGE)}
+    ratio = sups[M_LARGE] / sups[M_SMALL]
     logs = np.log([float(m) for m in sups])
     vals = np.array([sups[m] for m in sups])
     slope = float(np.polyfit(logs, vals, 1)[0])
     verdict = identity_err <= tol and ratio > 2.0
     return Report(
         name="ideal-counterexample",
-        params={"n": n, "N": N, "a": a.to_records(), "m_small": m_small,
-                "m_large": m_large, "grid": grid},
+        params={"n": n, "N": N, "a": a.to_records(), "m_small": M_SMALL,
+                "m_large": M_LARGE, "grid": grid},
         measurements={
             "minimal_word": str(v),
             "identity_max_error": identity_err,
@@ -354,7 +354,7 @@ def exp_ideal_counterexample(a: FreeSeries | None = None, n: int = 2, N: int = 1
 
 def exp_membership_witness(b_list: list[FreeSeries] | None = None,
                            c_list: list[FreeSeries] | None = None,
-                           K: int = 32, degree: int = 8, n: int = 2) -> Report:
+                           K: int = 32, n: int = 2) -> Report:
     """Necessary identity sum_i b^i_{z1^k} c^i_0 = 1/(k+1) for k <= K; any
     candidate list violating it cannot represent sum_k L1^k L2/(k+1) as
     sum_i B_i L2 C_i.  Polynomial diagonals always fail beyond their degree."""
@@ -363,7 +363,8 @@ def exp_membership_witness(b_list: list[FreeSeries] | None = None,
     if (b_list is None) != (c_list is None):
         raise ValueError("provide both candidate lists or neither")
     if b_list is None:
-        b_list = [FreeSeries.make(n, {Word((1,) * k): 1.0 / (k + 1) for k in range(degree + 1)})]
+        b_list = [FreeSeries.make(n, {Word((1,) * k): 1.0 / (k + 1)
+                                      for k in range(WITNESS_DEGREE + 1)})]
         c_list = [FreeSeries.one(n)]
     if len(b_list) != len(c_list):
         raise ValueError("candidate lists must pair up")

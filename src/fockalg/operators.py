@@ -10,7 +10,8 @@ realized on the basis {xi_w : |w| <= N} in one of two ways:
 * matrix-backed: an explicit (dense or sparse) compression matrix, for
   operators that are not given by a symbol.  Such an operator is measured
   only by norms and the commutant; it is not applied to vectors, composed,
-  added or scaled.
+  added or scaled.  ``TruncOp.symbol`` is the one place that refuses it, and
+  the checks that operands share a side refuse it too (its side is None).
 
 Every operator carries its exactness frontier: the largest level m such that
 the action on vectors supported in levels <= m agrees with the untruncated
@@ -53,31 +54,30 @@ class TruncOp:
             raise ValueError(f"symbol must be a series on the operator's alphabet {n}")
         self.n = n
         self.N = N
-        self.symbol = symbol
+        self._symbol = symbol
         self.side = side if symbol is not None else None
         self._matrix = matrix
         self._norm: Optional[float] = None
         if frontier is None:
             frontier = N - symbol.degree() if symbol is not None else N
         self.frontier = min(frontier, N)
-        self._indexer: Optional[BasisIndexer] = None
 
     # -- representation ----------------------------------------------------
 
     @property
-    def is_symbolic(self) -> bool:
-        return self.symbol is not None
-
-    def indexer(self) -> BasisIndexer:
-        if self._indexer is None:
-            self._indexer = BasisIndexer(self.n, self.N)
-        return self._indexer
+    def symbol(self) -> FreeSeries:
+        """The noncommutative symbol; a matrix-backed operator has none."""
+        if self._symbol is None:
+            raise ValueError("needs a symbol-backed operator; "
+                             "matrix-backed operators are only measured")
+        return self._symbol
 
     @property
     def matrix(self):
         """Compression matrix; materialized on first use (may hit the basis cap)."""
         if self._matrix is None:
-            self._matrix = _materialize(self.symbol, self.side, self.n, self.N, self.indexer())
+            self._matrix = _materialize(self.symbol, self.side, self.n, self.N,
+                                        BasisIndexer(self.n, self.N))
         return self._matrix
 
     def dense(self) -> np.ndarray:
@@ -90,17 +90,11 @@ class TruncOp:
             return m.toarray()
         return m
 
-    def _require_symbol(self, what: str) -> None:
-        if not self.is_symbolic:
-            raise ValueError(f"{what} needs a symbol-backed operator; "
-                             "matrix-backed operators are only measured")
-
     # -- vector action ------------------------------------------------------
 
     def _check_vector(self, xi: FockVector) -> None:
         if (xi.n, xi.N) != (self.n, self.N):
             raise ValueError("vector lives in a different truncated space")
-        self._require_symbol("vector action")
 
     def apply(self, xi: FockVector) -> FockVector:
         self._check_vector(xi)
@@ -143,7 +137,7 @@ class TruncOp:
 
     def __add__(self, other: "TruncOp") -> "TruncOp":
         self._same_space(other)
-        if not (self.is_symbolic and other.is_symbolic and self.side == other.side):
+        if self.side != other.side:
             raise ValueError("addition needs symbol-backed operators on the same side")
         return TruncOp(self.n, self.N, symbol=self.symbol.add(other.symbol), side=self.side,
                        frontier=min(self.frontier, other.frontier))
@@ -152,7 +146,6 @@ class TruncOp:
         return self + other.scale(-1.0)
 
     def scale(self, a: complex) -> "TruncOp":
-        self._require_symbol("scaling")
         return TruncOp(self.n, self.N, symbol=self.symbol.scale(a), side=self.side,
                        frontier=self.frontier)
 
@@ -188,8 +181,6 @@ def _materialize(symbol: FreeSeries, side: str, n: int, N: int, idx: BasisIndexe
 
 def creation_op(side: str, w: Word, n: int, N: int) -> TruncOp:
     """L_w (xi_v -> xi_{wv}) or R_w (xi_v -> xi_{vw}); overflow past level N drops."""
-    if side not in (LEFT, RIGHT):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if len(w) > N:
         raise ValueError(f"|w| = {len(w)} exceeds truncation {N}")
     return TruncOp(n, N, symbol=FreeSeries.delta(n, w), side=side)
@@ -213,7 +204,6 @@ def fourier_of(X: TruncOp, depth: int) -> FreeSeries:
     """Coefficients a_w = (X xi_1, xi_w) for |w| <= depth."""
     if depth > X.N:
         raise ValueError(f"depth {depth} exceeds truncation {X.N}")
-    X._require_symbol("Fourier data")
     return X.symbol.truncate(depth)
 
 
@@ -245,7 +235,7 @@ def decompose_at(s: FreeSeries, k: int) -> tuple[dict[Word, complex], dict[Word,
 def compose(X: TruncOp, Y: TruncOp) -> TruncOp:
     """X then Y on the right (matrix product X @ Y, i.e. Y acts first)."""
     X._same_space(Y)
-    if not (X.is_symbolic and Y.is_symbolic and X.side == Y.side):
+    if X.side != Y.side:
         raise ValueError("composition needs symbol-backed operators on the same side")
     # L_u L_v = L_{uv} while R_u R_v = R_{vu}
     prod = X.symbol.mul(Y.symbol, max_degree=X.N) if X.side == LEFT \
@@ -354,7 +344,6 @@ def contraction_status(X: TruncOp) -> tuple[Optional[bool], str]:
     None (unchecked) when neither settles it: the compression is over the
     basis cap, or its norm is at most 1 + tol and so decides nothing.
     """
-    X._require_symbol("a contraction certificate")
     bound = symbol_norm_bound(X.symbol)
     if bound <= 1 + CONTRACTION_TOL:
         return True, f"symbol bound {bound:.6f} <= 1 + {CONTRACTION_TOL}"
@@ -390,8 +379,7 @@ def commutant_residual(X: TruncOp) -> float:
     left-symbol operator, within the exact region."""
     if X.frontier < 1:
         return 0.0
-    idx = X.indexer()
-    cols = idx.level_offset(X.frontier)
+    cols = BasisIndexer(X.n, X.N).level_offset(X.frontier)
     worst = 0.0
     for i in range(1, X.n + 1):
         R = creation_op(RIGHT, Word((i,)), X.n, X.N).matrix
@@ -444,6 +432,6 @@ def range_complement_level_dims(L: TruncOp, k: int, tol: float = 1e-9) -> int:
     m = L.dense()
     if abs(m[0, 0]) > tol:
         raise ValueError(f"(L xi_1, xi_1) = {m[0, 0]:.3e} is not 0; hypothesis violated")
-    idx = L.indexer()
+    idx = BasisIndexer(L.n, L.N)
     block = m[idx.level_slice(k), : idx.level_offset(k)]
     return L.n**k - numerical_rank(block, tol)

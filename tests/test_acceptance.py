@@ -146,7 +146,7 @@ def test_criterion_7_thin_isometry():
 
 def test_criterion_8_ideal_counterexample():
     t0 = time.time()
-    rep = E.exp_ideal_counterexample(m_small=10, m_large=1000)
+    rep = E.exp_ideal_counterexample()
     assert rep.verdict
     assert rep.measurements["identity_max_error"] <= 1e-12
     assert rep.measurements["growth_ratio"] > 2.0

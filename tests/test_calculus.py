@@ -125,6 +125,32 @@ def test_h2_isometric_map_random(rng):
         assert abs(got - np.linalg.norm(h.coeffs)) <= 1e-10
 
 
+@pytest.mark.parametrize("x_symbol, l_word, degree", [
+    ({word(1): 0.6, word(2, 1): 0.8}, word(2, 2), 3),
+    ({word(1): 1.0}, word(2), 5),
+    ({word(1): 1.0}, word(2), 0),
+])
+def test_h2_frontier_against_oracle(rng, x_symbol, l_word, degree):
+    # the frontier is N - deg h deg X - deg L, and on every basis vector up to
+    # it h(X) L agrees with the product symbol realized at N + its degree
+    n, N = 2, 8
+    X = series_to_op(FreeSeries.make(n, x_symbol), n, N)
+    L = creation_op("left", l_word, n, N)
+    h = ScalarSeries.make(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+    A = h2_times_isometry(h, X, L)
+    assert A.frontier == max(N - h.degree() * X.symbol.degree() - L.symbol.degree(), -1)
+    exact, power = FreeSeries.zero(n), FreeSeries.one(n)
+    for k in range(h.order + 1):
+        exact = exact.add(power.mul(L.symbol).scale(h.coeff(k)))
+        power = X.symbol.mul(power)
+    big_N = N + exact.degree()
+    big = series_to_op(exact, n, big_N)
+    for v in BasisIndexer(n, A.frontier).words():
+        got = A.apply(FockVector.basis(n, N, v)).coeffs
+        want = big.apply(FockVector.basis(n, big_N, v)).coeffs
+        assert max(abs(got.get(t, 0.0) - want.get(t, 0.0)) for t in set(got) | set(want)) <= 1e-12
+
+
 def test_h2_projection_bessel(rng):
     # sum_k |(X^k L x, y)|^2 <= ||y||^2 via the range projections
     N = 8

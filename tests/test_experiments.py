@@ -134,7 +134,7 @@ def test_ideal_counterexample_adversarial_support():
 
 
 def test_membership_witness_default():
-    rep = E.exp_membership_witness(K=32, degree=8)
+    rep = E.exp_membership_witness(K=32)
     devs = rep.measurements["deviations"]
     assert rep.verdict
     assert max(devs[:9]) <= 1e-12
@@ -357,3 +357,11 @@ def test_factor_search_demo_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("target L_[z1 z2]  restarts=2  seed=7")
+    # bad input is one line on stderr and exit code 2, not a traceback
+    for args in (["z1 z2", "abc"], ["z1 z2", "0"], ["zq"]):
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "factor_search_demo.py"), *args],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1, (args, proc.stderr)

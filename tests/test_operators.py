@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_series, random_vector
 from fockalg import operators
-from fockalg.calculus import apply_series
+from fockalg.calculus import apply_series, check_isometric_on_frontier, h2_times_isometry
 from fockalg.fock import FockVector
 from fockalg.hardy import ScalarSeries, harmonic_series
 from fockalg.operators import (
@@ -281,14 +281,25 @@ def test_matrix_backed_operator_is_only_measured():
     X = series_to_op(FreeSeries.make(2, {Word(): 0.5, word(1): 0.5}), 2, 3)
     M = op_from_matrix(X.dense(), 2, 3)
     xi = FockVector.basis(2, 3, Word())
+    h = ScalarSeries.make([0.5, 0.5])
+    L1 = creation_op("left", word(1), 2, 3)
     for act in (lambda: M.apply(xi), lambda: M.apply_adjoint(xi), lambda: M + M,
                 lambda: X + M, lambda: M.scale(2.0), lambda: contraction_status(M),
-                lambda: compose(M, X), lambda: compose(X, M)):
+                lambda: compose(M, X), lambda: compose(X, M), lambda: apply_series(h, M),
+                lambda: fourier_of(M, 1), lambda: check_isometric_on_frontier(M),
+                lambda: h2_times_isometry(h, M, L1), lambda: h2_times_isometry(h, L1, M)):
         with pytest.raises(ValueError, match="symbol-backed"):
             act()
     R = creation_op("right", word(1), 2, 3)
     for act in (lambda: X + R, lambda: compose(X, R), lambda: compose(R, X)):
         with pytest.raises(ValueError, match="same side"):
+            act()
+
+
+def test_constructors_reject_an_unknown_side():
+    for act in (lambda: creation_op("up", word(1), 2, 3),
+                lambda: series_to_op(FreeSeries.one(2), 2, 3, side="up")):
+        with pytest.raises(ValueError, match="side 'left' or 'right'"):
             act()
 
 

@@ -35,6 +35,7 @@ from .operators import (
     creation_op,
     fourier_of,
     gram,
+    level_split_sigma,
     op_norm,
     series_to_op,
 )
@@ -189,38 +190,18 @@ def classify_word_factorization(b: FreeSeries, c: FreeSeries, w: Word) -> tuple[
     return math.sqrt(max(d2, 0.0)), split, lam
 
 
-def _scatter(basis: list[Word], n: int, N: int):
-    """vec -> compression of sum_u vec_u L_u on F^2_N, one scatter of the
-    coefficients (the P_N L_u P_N have disjoint 0/1 supports)."""
-    supports = [np.flatnonzero(creation_op(LEFT, u, n, N).dense()) for u in basis]
-    flat, dim = np.concatenate(supports), BasisIndexer(n, N).size
-    owner = np.repeat(np.arange(len(supports)), [s.size for s in supports])
-
-    def matrix(vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(dim * dim, dtype=complex)
-        out[flat] = vec[owner]
-        return out.reshape(dim, dim)
-    return matrix
-
-
 class _BallProblem:
     """B C = L_w over coefficient vectors indexed by the words |u| <= degree.
 
     kernel[t, u, v] = sqrt(m_|t|) when uv = t: kernel @ c and b @ kernel are
-    the weighted designs of b -> b*c and c -> b*c.  ``matrix`` scatters a
-    vector into its compression on F^2_N; ``sigma`` takes that compression's
-    sigma_max exactly from the one on F^2_{N-1}, half its size.
+    the weighted designs of b -> b*c and c -> b*c.  ``sigma`` is the exact
+    sigma_max of a vector's compression on F^2_N (operators.level_split_sigma).
     """
 
     def __init__(self, w: Word, degree: int, n: int, N: int):
         root_m = [math.sqrt(sum(n**j for j in range(N - d + 1))) for d in range(2 * degree + 1)]
         self.basis = list(BasisIndexer(n, degree).words())
-        self.target = creation_op(LEFT, w, n, N).dense()
-        self.matrix = _scatter(self.basis, n, N)
-        self._lower = _scatter(self.basis, n, N - 1) if N else None
-        if N:  # c_i[u'] = b_{u'i}: basis[1:] laid out by (last letter, rest) in an (n, dim) array
-            rest = BasisIndexer(n, N - 1)
-            self._tails = [(u[-1] - 1) * rest.size + rest.index_of(u[:-1]) for u in self.basis[1:]]
+        self.sigma = level_split_sigma(self.basis, LEFT, n, N)
         products = BasisIndexer(n, 2 * degree)
         self.kernel = np.zeros((products.size, len(self.basis), len(self.basis)))
         for i, u in enumerate(self.basis):
@@ -228,22 +209,6 @@ class _BallProblem:
                 self.kernel[products.index_of(concat(u, v)), i, j] = root_m[len(u) + len(v)]
         self.wtarget = np.zeros(products.size, dtype=complex)
         self.wtarget[products.index_of(w)] = root_m[len(w)]
-
-    def sigma(self, vec: np.ndarray) -> float:
-        """sigma_max of matrix(vec).  On F^2_N = C xi_0 + sum_i F^2_{N-1} R_i the
-        compression is [[b_0, 0], [c, I_n (x) M]], M the one on F^2_{N-1}; with
-        M^H M = V diag(g) V^H, sigma_max^2 is the top eigenvalue of the arrowhead
-        [[|b_0|^2 + sum_i |c_i|^2, sqrt(w)^T], [sqrt(w), diag(g)]],
-        w_j = sum_i |(c_i^H M V)_j|^2, which by interlacing is >= max(g)."""
-        if self._lower is None:  # N = 0: the compression is [b_0]
-            return float(abs(vec[0]))
-        M = self._lower(vec)
-        c = np.zeros(len(self.target) - 1, dtype=complex)  # dim F^2_N = 1 + n dim F^2_{N-1}
-        c[self._tails] = vec[1:]
-        g, V = np.linalg.eigh(M.conj().T @ M)
-        arrow = np.diag(np.concatenate(([np.vdot(vec, vec).real], g)))  # |b_0|^2 + sum |c_i|^2 = |vec|^2
-        arrow[0, 1:] = arrow[1:, 0] = np.linalg.norm(c.reshape(-1, len(M)).conj() @ M @ V, axis=0)
-        return math.sqrt(np.linalg.eigvalsh(arrow)[-1])
 
     def project(self, vec: np.ndarray) -> np.ndarray:
         """Spectral scaling onto the unit ball: divide by sigma_max when > 1."""
@@ -267,20 +232,20 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
     So ||P_N (B C - L_w) P_N||_F^2 = sum_t m_|t| |(b*c)_t - delta_{t,w}|^2, and
     each half-step is a linear least-squares problem in one factor's
     coefficients with one row per product word, weighted by sqrt(m_|t|).  The
-    convergence test reads that residual; every sigma_max, in the sweeps and
-    the projections, is exact from the level split (_BallProblem.sigma).  When
-    the updated factor is projected (divided by its sigma_max), the discarded
-    scale is carried into the other factor; the product is invariant under
-    (tB, C/t), so the carry keeps the objective
-    monotone where a bare projection stalls.  After 20 sweeps a run stops as
-    soon as the last 10 sweeps fail to halve the residual: a converging run
-    halves it well within 10 sweeps, while runs that end far from L_w sit in
-    a swamp where it decays like 1/k, and (k - W)/k >= 1/2 for a window of W
-    sweeps once k >= 2W, so W = 10 cuts them at the first check, at sweep 21.
-    Both factors are projected once more at the end, so every reported
-    candidate is feasible.  Restarts use independently derived seeds, making
-    the output deterministic for a given (seed, restarts) regardless of
-    scheduling.
+    convergence test reads that residual.  Every sigma_max, in the sweeps, the
+    projections and the final residual (factorization_residual), is exact from
+    the level split (operators.level_split_sigma).  When the updated factor is
+    projected (divided by its sigma_max), the discarded scale is carried into
+    the other factor; the product is invariant under (tB, C/t), so the carry
+    keeps the objective monotone where a bare projection stalls.  After 20
+    sweeps a run stops as soon as the last 10 sweeps fail to halve the
+    residual: a converging run halves it well within 10 sweeps, while runs
+    that end far from L_w sit in a swamp where it decays like 1/k, and
+    (k - W)/k >= 1/2 for a window of W sweeps once k >= 2W, so W = 10 cuts
+    them at the first check, at sweep 21.  Both factors are projected once
+    more at the end, so every reported candidate is feasible.  Restarts use
+    independently derived seeds, making the output deterministic for a given
+    (seed, restarts) regardless of scheduling.
     """
     if not len(w) <= 2 * degree <= N:
         raise ValueError("need |w| <= 2*degree <= N")
@@ -294,12 +259,9 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
         rng = np.random.default_rng([seed, r])
         bvec = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2 * m)
         cvec = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2 * m)
-        bvec = problem.project(bvec)
-        cvec = problem.project(cvec)
-        history: list[float] = []
-        iters = 0
+        bvec, cvec = problem.project(bvec), problem.project(cvec)
+        history: list[float] = []  # one residual per sweep
         for it in range(max_iter):
-            iters = it + 1
             bvec = np.linalg.lstsq(problem.kernel @ cvec, problem.wtarget, rcond=None)[0]
             sb = problem.sigma(bvec)
             if sb > 1.0:
@@ -320,18 +282,15 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
                 break
         # rebalance the (tB, C/t) gauge before the final feasibility projection
         # so the projection is as close to lossless as the product allows
-        sb = problem.sigma(bvec)
-        sc = problem.sigma(cvec)
+        sb, sc = problem.sigma(bvec), problem.sigma(cvec)
         if sb > 0 and sc > 0:
             t = math.sqrt(sb / sc)
-            bvec = bvec / t
-            cvec = cvec * t
-        bvec = problem.project(bvec)
-        cvec = problem.project(cvec)
+            bvec, cvec = bvec / t, cvec * t
+        bvec, cvec = problem.project(bvec), problem.project(cvec)
         bser = FreeSeries.make(n, dict(zip(basis, bvec)))
         cser = FreeSeries.make(n, dict(zip(basis, cvec)))
-        residual = float(np.linalg.norm(problem.matrix(bvec) @ problem.matrix(cvec) - problem.target, 2))
+        residual = factorization_residual(bser, cser, w, n, N)
         dist, split, lam = classify_word_factorization(bser, cser, w)
-        out.append(FactorCandidate(bser, cser, residual, dist, split, lam, iters, r))
+        out.append(FactorCandidate(bser, cser, residual, dist, split, lam, len(history), r))
     out.sort(key=lambda cand: cand.residual)
     return out

@@ -303,6 +303,8 @@ def exp_ideal_counterexample(a: FreeSeries | None = None, n: int = 2, N: int = 1
     if not a.coeffs:
         raise ValueError("need a nonzero finitely supported coefficient vector")
     v = a.support()[0]
+    if N < len(v) + 1:
+        raise ValueError(f"need N >= |v| + 1 = {len(v) + 1} to check the identity on a vector")
     lam = [IDEAL_SCALE / (k + 1) for k in range(N + 1)]
     jcoeffs: dict[Word, complex] = {}
     for w, aw in a.coeffs.items():
@@ -477,6 +479,8 @@ def exp_flip_examples(n: int = 2, N: int = 12, terms: int = 4096,
     the diagonal-series isometry does not, and forcing it yields the unbounded
     z1 diagonal.  Also checks the square-summable limit vector whose diagonal
     sup-norms diverge."""
+    if terms < 0:
+        raise ValueError(f"need terms >= 0, got {terms}")
     flips = {}
     worst_flip = 0.0
     for w in [Word(), Z1, Word((1, 2))]:

@@ -76,8 +76,9 @@ class TruncOp:
     def matrix(self):
         """Compression matrix; materialized on first use (may hit the basis cap)."""
         if self._matrix is None:
-            self._matrix = _materialize(self.symbol, self.side, self.n, self.N,
-                                        BasisIndexer(self.n, self.N))
+            s = self.symbol
+            self._matrix = _compression(list(s.coeffs), self.side, self.n, self.N)(
+                np.array(list(s.coeffs.values()), dtype=complex))
         return self._matrix
 
     def dense(self) -> np.ndarray:
@@ -150,30 +151,60 @@ class TruncOp:
                        frontier=self.frontier)
 
 
-def _materialize(symbol: FreeSeries, side: str, n: int, N: int, idx: BasisIndexer):
+def _compression(words: list[Word], side: str, n: int, N: int):
+    """vals -> compression of sum_i vals[i] S_{words[i]} (S = L or R) on F^2_N,
+    dense up to DENSE_CAP and CSR beyond: the word -> position arithmetic runs
+    once, and each call is one scatter (the P_N S_w P_N are disjoint 0/1 masks)."""
+    idx = BasisIndexer(n, N)
     size = idx.size
     off = np.array([idx.level_offset(k) for k in range(N + 2)])
     level = np.repeat(np.arange(N + 1), np.diff(off))
     r = np.arange(size) - off[level]  # rank of each column inside its level
-    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
-    for w, a in symbol.coeffs.items():
-        d = len(w)
-        if d > N:
-            continue  # every column overflows
-        rank = idx.index_of(w) - idx.level_offset(d)
-        # columns at levels > N - d overflow and stay zero
-        width = off[N - d + 1]
-        k, rk = level[:width], r[:width]
-        rows.append(off[k + d] + (rank * n**k + rk if side == LEFT else rk * n**d + rank))
-        cols.append(np.arange(width))
-        vals.append(np.full(width, a, dtype=complex))
-    if size <= DENSE_CAP:
+    d = np.array([len(w) for w in words], dtype=int)
+    rank = np.array([idx.index_of(w) - idx.level_offset(len(w)) if len(w) <= N else 0
+                     for w in words], dtype=int)
+    # a word of length d keeps the columns at levels <= N - d; the rest overflow
+    width = off[np.maximum(N - d + 1, 0)]
+    owner = np.repeat(np.arange(len(words)), width)
+    cols = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+    k, rk, d, rank = level[cols], r[cols], d[owner], rank[owner]
+    rows = off[k + d] + (rank * n**k + rk if side == LEFT else rk * n**d + rank)
+
+    def write_out(vals: np.ndarray):
+        if size > DENSE_CAP:
+            return sp.csr_matrix((vals[owner], (rows, cols)), shape=(size, size), dtype=complex)
         m = np.zeros((size, size), dtype=complex)
-        for i, j, v in zip(rows, cols, vals):
-            m[i, j] += v
+        m[rows, cols] = vals[owner]
         return m
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(size, size), dtype=complex)
+    return write_out
+
+
+def level_split_sigma(words: list[Word], side: str, n: int, N: int):
+    """vals -> sigma_max of the compression of sum_i vals[i] S_{words[i]} on F^2_N
+    (words of length <= N, basis <= DENSE_CAP), exactly from the one on F^2_{N-1}.
+    Split by last letter for L (first for R), F^2_N = C xi_0 + sum_i F^2_{N-1} z_i
+    and the compression is [[a_0, 0], [c, I_n (x) M]], M the one on F^2_{N-1},
+    c_i[u] = a_{ui} (a_{iu} for R).  With M^H M = V diag(g) V^H, sigma_max^2 is the
+    top eigenvalue of [[sum |a_w|^2, sqrt(w)^T], [sqrt(w), diag(g)]], w_j the sum
+    over i of |(c_i^H M V)_j|^2; M's all-zero columns add only uncoupled zeros."""
+    if N == 0:  # the compression is [a_0]
+        return lambda vals: float(np.linalg.norm(vals))
+    lower, rest = _compression(words, side, n, N - 1), BasisIndexer(n, N - 1)
+    nonempty = np.array([i for i, w in enumerate(words) if w], dtype=int)
+    # c laid out by (split letter, rest) in an (n, dim) array
+    splits = [(w[-1], w[:-1]) if side == LEFT else (w[0], w[1:]) for w in words if w]
+    tails = np.array([(i - 1) * rest.size + rest.index_of(u) for i, u in splits], dtype=int)
+
+    def sigma(vals: np.ndarray) -> float:
+        M = lower(vals)
+        M = M[:, M.any(axis=0)]
+        c = np.zeros(n * rest.size, dtype=complex)
+        c[tails] = vals[nonempty]
+        g, V = np.linalg.eigh(M.conj().T @ M)
+        arrow = np.diag(np.concatenate(([np.vdot(vals, vals).real], g)))
+        arrow[0, 1:] = arrow[1:, 0] = np.linalg.norm(c.reshape(n, -1).conj() @ M @ V, axis=0)
+        return math.sqrt(np.linalg.eigvalsh(arrow)[-1])
+    return sigma
 
 
 # -- constructors ------------------------------------------------------------
@@ -270,9 +301,9 @@ def gram(a: FreeSeries, b: FreeSeries, side: str) -> dict[tuple[Word, bool], com
 
 
 def _spectral_norm(m) -> float:
-    # All-zero rows and columns carry no singular value, so both arms measure
-    # the block left once they are dropped: a compression of a degree-d symbol
-    # has zero columns on its top d levels and zero rows on its low levels.
+    # Norms with no symbol to split (matrix-backed operators, X R - R X) and of
+    # symbol compressions over DENSE_CAP.  All-zero rows and columns carry no
+    # singular value, so both arms measure the block left once they are dropped.
     # The arm follows the basis size: a full SVD up to DENSE_CAP, ARPACK beyond.
     if sp.issparse(m) and m.shape[0] > DENSE_CAP:
         m = m.tocsr()
@@ -328,11 +359,17 @@ def symbol_norm_bound(s: FreeSeries) -> float:
 
 
 def op_norm(X: TruncOp) -> float:
-    """Largest singular value of the compression (a lower bound for the
-    norm of the untruncated operator, labelled 'compression norm' in reports).
-    Taken once per operator, like the matrix it is a function of."""
+    """Largest singular value of the compression (a lower bound for the norm
+    of the untruncated operator, labelled 'compression norm' in reports), taken
+    once per operator: by level_split_sigma from the symbol up to DENSE_CAP,
+    without writing out the matrix; else by _spectral_norm of the matrix."""
     if X._norm is None:
-        X._norm = _spectral_norm(X.matrix)
+        if X._symbol is None or BasisIndexer(X.n, X.N).size > DENSE_CAP:
+            X._norm = _spectral_norm(X.matrix)
+        else:
+            s = X.symbol.truncate(X.N)
+            X._norm = level_split_sigma(list(s.coeffs), X.side, X.n, X.N)(
+                np.array(list(s.coeffs.values()), dtype=complex))
     return X._norm
 
 

@@ -40,8 +40,9 @@ def test_adjoint_decay_defaults():
 def test_adjoint_decay_takes_the_compression_norm_once(monkeypatch):
     # the report and each of the six orbit certificates read the norm of one L
     calls = []
-    spectral_norm = operators._spectral_norm
-    monkeypatch.setattr(operators, "_spectral_norm", lambda m: calls.append(m) or spectral_norm(m))
+    sigma = operators.level_split_sigma
+    monkeypatch.setattr(operators, "level_split_sigma",
+                        lambda *args: calls.append(args) or sigma(*args))
     E.exp_adjoint_decay()
     assert len(calls) == 1
 
@@ -309,6 +310,8 @@ def test_cli_failing_verdict_exit_code(capsys):
     ["ball-search", "--restarts", "-1"],
     ["adjoint-decay", "--kmax", "-1"],
     ["membership-witness", "--terms", "-1"],
+    ["ideal-counterexample", "--level", "1"],  # no vector to check the identity on
+    ["flip-examples", "--terms", "-1"],
 ])
 def test_cli_usage_and_input_errors_exit_2(argv, capsys):
     try:

@@ -408,7 +408,7 @@ def test_materialize_matches_column_loop(data, n, side, seed, constant, full):
     words = data.draw(st.lists(st.lists(st.integers(1, n), max_size=N), max_size=4), label="words")
     s = _symbol_from_draw(n, N, seed, words, constant, full)
     idx = BasisIndexer(n, N)
-    _assert_same_matrix(operators._materialize(s, side, n, N, idx),
+    _assert_same_matrix(series_to_op(s, n, N, side).matrix,
                         _materialize_by_columns(s, side, n, N, idx))
 
 
@@ -418,7 +418,7 @@ def test_materialize_matches_column_loop_sparse(side):
     idx = BasisIndexer(n, N)
     for seed, words in enumerate([[], [(1,), (2, 1, 2)], [(2,) * 5, (1, 2), (2, 1)]]):
         s = _symbol_from_draw(n, N, seed, words, constant=seed > 0, full=seed > 1)
-        _assert_same_matrix(operators._materialize(s, side, n, N, idx),
+        _assert_same_matrix(series_to_op(s, n, N, side).matrix,
                             _materialize_by_columns(s, side, n, N, idx))
 
 
@@ -805,6 +805,35 @@ def test_spectral_norm_fallback_on_arpack_failure(monkeypatch):
     monkeypatch.setattr(operators.spla, "svds", _broken_call)
     with pytest.raises(TypeError):
         op_norm(creation_op("left", word(1, 2), 2, 12))
+
+
+def _assert_op_norm_is_full_svd(s, n, N, side):
+    X = series_to_op(s, n, N, side)
+    got = op_norm(X)
+    assert X._matrix is None  # taken from the symbol; nothing was written out
+    want = np.linalg.norm(series_to_op(s, n, N, side).dense(), 2)
+    assert abs(got - want) <= 1e-12 * want
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), n=st.sampled_from([1, 2, 3]), side=st.sampled_from(["left", "right"]),
+       seed=st.integers(0, 2**32 - 1), constant=st.booleans(), extra=st.integers(0, 2))
+def test_op_norm_is_the_full_svd(data, n, side, seed, constant, extra):
+    degree = data.draw(st.integers(0, {1: 10, 2: 8, 3: 5}[n] - extra), label="degree")  # dense
+    rng = np.random.default_rng(seed)
+    coeffs = dict(random_series(rng, n, degree, int(rng.integers(1, 6))).coeffs)
+    coeffs.pop(Word(), None)
+    if constant:
+        coeffs[Word()] = complex(rng.standard_normal(), rng.standard_normal())
+    s = FreeSeries.make(n, coeffs)
+    _assert_op_norm_is_full_svd(s, n, s.degree() + extra, side)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_op_norm_of_zero_symbol_and_level_zero(side):
+    for N in (0, 3):
+        _assert_op_norm_is_full_svd(FreeSeries.zero(2), 2, N, side)
+    _assert_op_norm_is_full_svd(delta(2, Word(), 0.3 - 0.4j), 2, 0, side)
 
 
 def test_sparse_norm_is_reproducible():

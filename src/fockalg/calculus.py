@@ -40,7 +40,7 @@ from .operators import (
     series_to_op,
 )
 from .report import Report
-from .words import BasisIndexer, Word, concat
+from .words import BasisIndexer, Word, _derived
 
 ORTHOGONALITY_TOL = 1e-10
 ISOMETRY_TOL = 1e-9
@@ -77,7 +77,7 @@ def apply_series(h: ScalarSeries, X: TruncOp) -> TruncOp:
     return _power_series(h, X)
 
 
-def _largest(g: dict[tuple[Word, bool], complex]) -> float:
+def _largest(g: dict[tuple[bytes, bool], complex]) -> float:
     """Largest |coefficient| of a gram map."""
     return max(map(abs, g.values()), default=0.0)
 
@@ -127,11 +127,9 @@ def verify_factorization(g: ScalarSeries, X: TruncOp, A: TruncOp, target: TruncO
     if depth > X.N:
         raise ValueError(f"depth {depth} exceeds truncation {X.N}")
     product = compose(apply_series(g, X), A)
-    lhs = fourier_of(product, depth)
-    rhs = fourier_of(target, depth)
-    diff = lhs - rhs
+    diff = fourier_of(product, depth) - fourier_of(target, depth)
     max_err = diff.sup_abs()
-    worst = max(diff.coeffs, key=lambda w: abs(diff.coeffs[w]), default=Word())
+    worst = _derived(max(diff.coeffs, key=lambda w: abs(diff.coeffs[w]), default=b""))
     verdict = max_err <= tol
     return Report(
         name="verify-factorization",
@@ -176,8 +174,8 @@ def classify_word_factorization(b: FreeSeries, c: FreeSeries, w: Word) -> tuple[
     csq = c.l2_norm() ** 2
     best = None
     for cut in range(len(w) + 1):
-        u = Word(w[:cut])
-        v = Word(w[cut:])
+        u = _derived(w[:cut])
+        v = _derived(w[cut:])
         bu = b.coeff(u)
         cv = c.coeff(v)
         s = bu + cv.conjugate()
@@ -206,7 +204,7 @@ class _BallProblem:
         self.kernel = np.zeros((products.size, len(self.basis), len(self.basis)))
         for i, u in enumerate(self.basis):
             for j, v in enumerate(self.basis):
-                self.kernel[products.index_of(concat(u, v)), i, j] = root_m[len(u) + len(v)]
+                self.kernel[products.index_of(u + v), i, j] = root_m[len(u) + len(v)]
         self.wtarget = np.zeros(products.size, dtype=complex)
         self.wtarget[products.index_of(w)] = root_m[len(w)]
 

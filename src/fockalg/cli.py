@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import experiments
-from .words import BasisCapExceeded
+from .words import BasisCapExceeded, Word
 
 
 class _Parser(argparse.ArgumentParser):
@@ -23,6 +23,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _word(text: str) -> Word:
+    """Word.parse, keeping its message (argparse reports a ValueError as "invalid parse value")."""
+    try:
+        return Word.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid word {text!r}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, flags in experiments.EXPERIMENTS.items():
         p = sub.add_parser(name)
         for flag, (_, kind, text) in flags.items():
-            p.add_argument(f"--{flag}", type=kind, help=text)
+            p.add_argument(f"--{flag}", type=_word if kind is Word.parse else kind, help=text)
         p.add_argument("--out", help="write the report JSON here")
     p = sub.add_parser("run-all")
     p.add_argument("--seed", type=int, default=7)

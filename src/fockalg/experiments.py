@@ -228,17 +228,13 @@ def exp_thin_isometry(n: int = 2, kmax: int = 2, N: int | None = None,
         N = 3 * kmax + 1
     if N < 3 * kmax + 1:
         raise ValueError(f"need N >= 3*kmax+1 = {3 * kmax + 1}")
-    coeffs: dict[Word, complex] = {}
+    coeffs: dict[bytes, complex] = {}
     xk_norms = []
     for k in range(kmax + 1):
-        piece = {}
-        for w in enumerate_words(n, k):
-            piece[Word(w + w + (2,) + (1,) * k)] = 1.0
-        xknorm = math.sqrt(len(piece))
-        xk_norms.append(xknorm)
-        scale = 2.0 ** (-(k + 1) / 2.0) / xknorm
-        for t in piece:
-            coeffs[t] = scale
+        tail = Word((2,) + (1,) * k)
+        piece = [w + w + tail for w in enumerate_words(n, k)]
+        xk_norms.append(math.sqrt(len(piece)))
+        coeffs.update(dict.fromkeys(piece, 2.0 ** (-(k + 1) / 2.0) / xk_norms[k]))
     x = FockVector.make(n, N, coeffs)
     norm_sq = x.norm() ** 2
     norm_sq_expected = sum(2.0 ** (-(k + 1)) for k in range(kmax + 1))
@@ -306,10 +302,10 @@ def exp_ideal_counterexample(a: FreeSeries | None = None, n: int = 2, N: int = 1
     if N < len(v) + 1:
         raise ValueError(f"need N >= |v| + 1 = {len(v) + 1} to check the identity on a vector")
     lam = [IDEAL_SCALE / (k + 1) for k in range(N + 1)]
-    jcoeffs: dict[Word, complex] = {}
+    jcoeffs: dict[bytes, complex] = {}
     for w, aw in a.coeffs.items():
         for k in range(N - len(w)):
-            t = Word(w + (2,) + (1,) * k)
+            t = w + Word((2,) + (1,) * k)
             jcoeffs[t] = jcoeffs.get(t, 0.0) + aw * lam[k]
     J = series_to_op(FreeSeries.make(n, jcoeffs), n, N)
     Lv = creation_op(LEFT, v, n, N)
@@ -377,11 +373,8 @@ def exp_membership_witness(b_list: list[FreeSeries] | None = None,
         deviations.append(abs(total - 1.0 / (k + 1)))
     max_dev = max(deviations)
     first_bad = next((k for k, d in enumerate(deviations) if d > 1e-12), None)
-    h_series = [
-        [{"k": k, "re": b.coeff(Word((1,) * k)).real, "im": b.coeff(Word((1,) * k)).imag}
-         for k in range(K + 1) if b.coeff(Word((1,) * k)) != 0]
-        for b in b_list
-    ]
+    h_series = [[{"k": k, "re": c.real, "im": c.imag} for k in range(K + 1)
+                 if (c := b.coeff(Word((1,) * k))) != 0] for b in b_list]
     verdict = max_dev > CERTIFICATE_TOL
     return Report(
         name="membership-witness",

@@ -7,39 +7,41 @@ the basis words orthonormal; a series has N = None.  Both are stored sparsely
 since the constructions of interest have very few nonzero coefficients.
 
 A map is checked once, where it enters: the constructors, ``make``, ``delta``
-and ``basis`` check its keys, lengths, letters and coefficients and store
-complex values.  Sums, scalings, truncations and products of checked maps (and
-the images of vectors under symbol-backed operators) pass that check by
-closure, so they are built by ``_like``, which only drops zero coefficients.
+and ``basis`` check its keys (Words, or another map's plain bytes keys),
+lengths, letters and coefficients and store complex values.  Sums, scalings,
+truncations and products of checked maps (and the images of vectors under
+symbol-backed operators) pass that check by closure, so they are built by
+``_like``, which only drops zero coefficients; their new keys are plain bytes
+(``u + v``, slices), which ``support`` and ``to_records`` hand out as Words.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .words import BasisIndexer, Word, _derived
+from .words import MAX_LETTER, BasisIndexer, Word, _derived
 
 
 def _check_words(n: int, N: Optional[int], coeffs: dict[Word, complex]) -> None:
-    """n >= 1 and N >= 0 (or None), then Word keys, lengths <= N, letters <= n and
-    no zero coefficient, each checked as one pass over the whole map (the
-    letters are checked Words)."""
+    """n >= 1 and N >= 0 (or None), then Word or plain bytes keys, lengths <= N,
+    letters in 1..n (a plain key may hold a zero byte) and no zero coefficient,
+    each checked as one pass over the whole map."""
     if n < 1 or (N is not None and N < 0):
         raise ValueError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
-    if not set(map(type, coeffs)) <= {Word}:
-        bad = next(w for w in coeffs if type(w) is not Word)
-        raise TypeError(f"keys must be Words, got {bad!r} ({type(bad).__name__})")
+    if not set(map(type, coeffs)) <= {Word, bytes}:
+        bad = next(w for w in coeffs if type(w) not in (Word, bytes))
+        raise TypeError(f"keys must be Words or bytes, got {bad!r} ({type(bad).__name__})")
     if N is not None and max(map(len, coeffs), default=0) > N:
         bad = next(w for w in coeffs if len(w) > N)
-        raise ValueError(f"word {bad!r} longer than truncation {N}")
-    if max(chain.from_iterable(coeffs), default=1) > n:
-        bad = next(w for w in coeffs if max(w, default=1) > n)
-        raise ValueError(f"word {bad!r} uses letters beyond alphabet {n}")
+        raise ValueError(f"word {_derived(bad)!r} longer than truncation {N}")
+    alphabet = bytes(range(1, min(n, MAX_LETTER) + 1))
+    if b"".join(coeffs).translate(None, alphabet):
+        bad = next(w for w in coeffs if w.translate(None, alphabet))
+        raise ValueError(f"word {_derived(bad)!r} uses letters outside the alphabet 1..{n}")
     if 0 in coeffs.values():
         raise ValueError("zero coefficients should be dropped before construction")
 
@@ -49,16 +51,16 @@ def _check_space(a: "FreeSeries", b: "FreeSeries") -> None:
         raise ValueError(f"space mismatch: (n={a.n}, N={a.N}) vs (n={b.n}, N={b.N})")
 
 
-def _convolve(left: dict[Word, complex], right: dict[Word, complex],
-              max_len: float) -> dict[Word, complex]:
+def _convolve(left: dict[bytes, complex], right: dict[bytes, complex],
+              max_len: float) -> dict[bytes, complex]:
     """Free convolution of two checked maps: out_w = sum over factorizations
     w = uv of left_u right_v, dropping every w longer than max_len."""
-    out: dict[Word, complex] = {}
+    out: dict[bytes, complex] = {}
     for u, a in left.items():
         room = max_len - len(u)
         for v, b in right.items():
             if len(v) <= room:
-                w = _derived(u + v)
+                w = u + v
                 out[w] = out.get(w, 0.0) + a * b
     return out
 
@@ -115,7 +117,7 @@ class FreeSeries:
         return max((len(w) for w in self.coeffs), default=0)
 
     def support(self) -> list[Word]:
-        return sorted(self.coeffs, key=lambda w: (len(w), w))
+        return [_derived(w) for w in sorted(self.coeffs, key=lambda w: (len(w), w))]
 
     def l2_norm(self) -> float:
         return float(np.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values())))

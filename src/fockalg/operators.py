@@ -30,8 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fock import FockVector, FreeSeries, _convolve
-from .words import (BasisCapExceeded, BasisIndexer, Word, _derived, enumerate_words, strip_prefix,
-                    strip_suffix)
+from .words import BasisCapExceeded, BasisIndexer, Word, enumerate_words
 
 DENSE_CAP = 4096
 RANK_FLOOR = 1e-12
@@ -106,27 +105,25 @@ class TruncOp:
     def apply_adjoint(self, xi: FockVector) -> FockVector:
         self._check_vector(xi)
         # L_w* xi_v = xi_t when v = wt (R_w* xi_v = xi_t when v = tw).  For a
-        # fixed v each length of w gives at most one match, so the symbol is
-        # grouped by length and each v costs one slice and lookup per length.
-        # The matches are summed in symbol order, the order of a loop over w.
-        by_length: dict[int, dict[Word, tuple[int, complex]]] = {}
-        for i, (w, a) in enumerate(self.symbol.coeffs.items()):
-            by_length.setdefault(len(w), {})[w] = (i, a.conjugate())
-        lengths = sorted(by_length.items())
+        # fixed v each length of w gives at most one match, so each v costs
+        # one slice and lookup per symbol length.  The matches are summed in
+        # symbol order, the order of a loop over w.
+        index = {w: (i, a.conjugate()) for i, (w, a) in enumerate(self.symbol.coeffs.items())}
+        lengths = sorted({len(w) for w in index})
         left = self.side == LEFT
-        out: dict[Word, complex] = {}
+        out: dict[bytes, complex] = {}
         for v, c in xi.coeffs.items():
             m = len(v)
             hits = []
-            for k, terms in lengths:
+            for k in lengths:
                 if k > m:
                     break
-                hit = terms.get(v[:k] if left else v[m - k:])
+                hit = index.get(v[:k] if left else v[m - k:])
                 if hit is not None:
                     hits.append((hit, k))
             hits.sort()
             for (_, a_conj), k in hits:
-                t = _derived(v[k:] if left else v[:m - k])
+                t = v[k:] if left else v[:m - k]
                 out[t] = out.get(t, 0.0) + a_conj * c
         return xi._like(out)
 
@@ -238,7 +235,7 @@ def fourier_of(X: TruncOp, depth: int) -> FreeSeries:
     return X.symbol.truncate(depth)
 
 
-def decompose_at(s: FreeSeries, k: int) -> tuple[dict[Word, complex], dict[Word, FreeSeries]]:
+def decompose_at(s: FreeSeries, k: int) -> tuple[dict[bytes, complex], dict[Word, FreeSeries]]:
     """Graded splitting at level k.
 
     Returns the scalars {a_w : |w| < k} and the corner series {X_w : |w| = k}
@@ -247,15 +244,13 @@ def decompose_at(s: FreeSeries, k: int) -> tuple[dict[Word, complex], dict[Word,
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    scalars: dict[Word, complex] = {}
-    corner_coeffs: dict[Word, dict[Word, complex]] = {w: {} for w in enumerate_words(s.n, k)}
+    scalars: dict[bytes, complex] = {}
+    corner_coeffs: dict[Word, dict[bytes, complex]] = {w: {} for w in enumerate_words(s.n, k)}
     for t, a in s.coeffs.items():
         if len(t) < k:
             scalars[t] = a
         else:
-            w = Word(t[:k])
-            v = Word(t[k:])
-            corner_coeffs[w][v] = a
+            corner_coeffs[t[:k]][t[k:]] = a
     corners = {w: FreeSeries(s.n, cs) for w, cs in corner_coeffs.items()}
     return scalars, corners
 
@@ -277,7 +272,7 @@ def compose(X: TruncOp, Y: TruncOp) -> TruncOp:
     return TruncOp(X.n, X.N, symbol=prod, side=X.side, frontier=frontier)
 
 
-def gram(a: FreeSeries, b: FreeSeries, side: str) -> dict[tuple[Word, bool], complex]:
+def gram(a: FreeSeries, b: FreeSeries, side: str) -> dict[tuple[bytes, bool], complex]:
     """S_a* S_b of the untruncated operators (S = L or R) as the finite map
     {(t, starred): coefficient} of S_t (starred False) and S_t* (True).
 
@@ -286,8 +281,10 @@ def gram(a: FreeSeries, b: FreeSeries, side: str) -> dict[tuple[Word, bool], com
     """
     if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    strip = strip_prefix if side == LEFT else strip_suffix
-    out: dict[tuple[Word, bool], complex] = {}
+    # t with v = wt (v = tw for R) as a slice, or None
+    strip = (lambda v, w: v[len(w):] if v.startswith(w) else None) if side == LEFT \
+        else (lambda v, w: v[:len(v) - len(w)] if v.endswith(w) else None)
+    out: dict[tuple[bytes, bool], complex] = {}
     for w, x in a.coeffs.items():
         for v, y in b.coeffs.items():
             t = strip(v, w)

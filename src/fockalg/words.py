@@ -5,10 +5,11 @@ semigroup unit.  Words index the orthonormal basis of the truncated space,
 ordered by length first and lexicographically within each length, so that
 every level occupies a contiguous index range.
 
-A Word is checked where it enters: ``Word(...)`` and ``Word.parse`` reject any
-letter that is not an integer >= 1.  Products, strips and reversals of Words
-(and the words that ``enumerate_words`` and ``BasisIndexer`` make from their
-own letters) are Words by closure, so they are built without the check.
+A Word is the bytes of its letters, one a byte in 1..255 (``Word(...)`` and
+``Word.parse`` check each); it equals and hashes as those plain bytes, and
+(len(w), w) sorts in basis order.  Products and strips of words are ``u + v``
+and slices: plain bytes, kept as map keys and printed as ``str(Word)``.  The
+word functions return Words, checking only the operands that are not Words.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 from functools import partial
 from typing import Iterable, Iterator, Optional
 
+MAX_LETTER = 255  # one letter per byte
 DEFAULT_BASIS_CAP = 10**6
 CAP_ENV_VAR = "FOCKALG_BASIS_CAP"
 
@@ -33,27 +35,28 @@ def basis_cap() -> int:
     return int(raw) if raw else DEFAULT_BASIS_CAP
 
 
-class Word(tuple):
-    """Immutable word over letters 1..n; ``Word()`` is the unit.
+class Word(bytes):
+    """Immutable word over letters 1..n, n <= 255; ``Word()`` is the unit.
 
-    A word is the tuple of its letters: it equals that tuple and hashes the
-    same.  Slices and ``+`` give plain tuples; ``concat`` and the strips give
-    Words."""
+    A word is the bytes of its letters: it equals those plain bytes and
+    hashes the same.  Slices and ``+`` give plain bytes; ``concat`` and the
+    strips give Words."""
 
     __slots__ = ()
 
     def __new__(cls, letters: Iterable[int] = ()) -> "Word":
-        self = super().__new__(cls, letters)
-        self.__post_init__()
-        return self
+        letters = tuple(letters)
+        Word.__post_init__(letters)  # before bytes() could refuse a letter
+        return super().__new__(cls, letters)
 
     # The letter check keeps its name from when Word was a dataclass: the
-    # benchmark's tracer counts checked word constructions by wrapping it.
-    # Words derived from Words (_derived below) skip it and are not counted.
-    def __post_init__(self):
-        for a in self:
-            if isinstance(a, bool) or not isinstance(a, int) or a < 1:
-                raise ValueError(f"letters must be integers >= 1, got {a!r}")
+    # benchmark's tracer counts checked constructions by wrapping it, so it is
+    # looked up on the class.  _derived (below) skips it and is not counted.
+    @staticmethod
+    def __post_init__(letters: tuple) -> None:
+        for a in letters:
+            if isinstance(a, bool) or not isinstance(a, int) or not 1 <= a <= MAX_LETTER:
+                raise ValueError(f"letters must be integers in 1..{MAX_LETTER}, got {a!r}")
 
     @property
     def letters(self) -> tuple[int, ...]:
@@ -77,44 +80,43 @@ class Word(tuple):
 
 
 # The unchecked constructor, for letters taken from Words already checked.
-_derived = partial(tuple.__new__, Word)
+_derived = partial(bytes.__new__, Word)
 
 
 def word(*letters: int) -> Word:
     return Word(letters)
 
 
+def _checked(w) -> Word:
+    """w itself when it is a Word; any other sequence of letters is checked."""
+    return w if type(w) is Word else Word(w)
+
+
 def concat(u: Word, v: Word) -> Word:
     """The semigroup product uv (u followed by v)."""
-    if type(u) is Word and type(v) is Word:
-        return _derived(u + v)
-    return Word(u + v)
+    return _derived(_checked(u) + _checked(v))
 
 
 def reverse(w: Word) -> Word:
-    return _derived(w[::-1]) if type(w) is Word else Word(w[::-1])
+    return _derived(_checked(w)[::-1])
 
 
 def strip_suffix(w: Word, u: Word) -> Optional[Word]:
     """Return t with w = tu, or None when u is not a suffix of w."""
-    m = len(w) - len(u)
-    if m < 0 or w[m:] != u:
-        return None
-    return _derived(w[:m]) if type(w) is Word and type(u) is Word else Word(w[:m])
+    w, u = _checked(w), _checked(u)
+    return _derived(w[:len(w) - len(u)]) if w.endswith(u) else None
 
 
 def strip_prefix(w: Word, u: Word) -> Optional[Word]:
     """Return t with w = ut, or None when u is not a prefix of w."""
-    k = len(u)
-    if w[:k] != u:
-        return None
-    return _derived(w[k:]) if type(w) is Word and type(u) is Word else Word(w[k:])
+    w, u = _checked(w), _checked(u)
+    return _derived(w[len(u):]) if w.startswith(u) else None
 
 
 def enumerate_words(n: int, k: int) -> list[Word]:
     """All n^k words of length exactly k, lexicographically ordered."""
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
+    if not 1 <= n <= MAX_LETTER or k < 0:
+        raise ValueError(f"need 1 <= n <= {MAX_LETTER} and k >= 0")
     limit = basis_cap()
     if n**k > limit:
         raise BasisCapExceeded(f"n^k = {n**k} exceeds cap {limit}")
@@ -129,8 +131,8 @@ class BasisIndexer:
     """
 
     def __init__(self, n: int, N: int):
-        if n < 1 or N < 0:
-            raise ValueError("need n >= 1 and N >= 0")
+        if not 1 <= n <= MAX_LETTER or N < 0:
+            raise ValueError(f"need 1 <= n <= {MAX_LETTER} and N >= 0")
         n = operator.index(n)  # a Python int, so that word_at makes int letters
         self.n = n
         self.N = N

@@ -114,7 +114,7 @@ def brute_level_block_rank(symbol, n, N, k):
     m = np.zeros((len(rows), len(cols)), dtype=complex)
     for j, v in enumerate(cols):
         for u, a in symbol.coeffs.items():
-            t = Word(u.letters + v.letters)
+            t = Word(tuple(u) + tuple(v))  # u may be a plain bytes key
             if len(t) == k:
                 m[rindex[t], j] += a
     return int(np.linalg.matrix_rank(m, tol=1e-9))

@@ -127,16 +127,16 @@ def test_h2_isometric_map_random(rng):
 
 
 @pytest.mark.parametrize("x_symbol, l_word, degree", [
-    ({word(1): 0.6, word(2, 1): 0.8}, word(2, 2), 3),
-    ({word(1): 1.0}, word(2), 5),
-    ({word(1): 1.0}, word(2), 0),
+    ({word(1): 0.6, word(2, 1): 0.8}, (2, 2), 3),
+    ({word(1): 1.0}, (2,), 5),
+    ({word(1): 1.0}, (2,), 0),
 ])
 def test_h2_frontier_against_oracle(rng, x_symbol, l_word, degree):
     # the frontier is N - deg h deg X - deg L, and on every basis vector up to
     # it h(X) L agrees with the product symbol realized at N + its degree
     n, N = 2, 8
     X = series_to_op(FreeSeries.make(n, x_symbol), n, N)
-    L = creation_op("left", l_word, n, N)
+    L = creation_op("left", Word(l_word), n, N)
     h = ScalarSeries.make(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
     A = h2_times_isometry(h, X, L)
     assert A.frontier == max(N - h.degree() * X.symbol.degree() - L.symbol.degree(), -1)

@@ -312,6 +312,7 @@ def test_cli_failing_verdict_exit_code(capsys):
     ["membership-witness", "--terms", "-1"],
     ["ideal-counterexample", "--level", "1"],  # no vector to check the identity on
     ["flip-examples", "--terms", "-1"],
+    ["ball-search", "--word", "z256"],  # one letter a byte
 ])
 def test_cli_usage_and_input_errors_exit_2(argv, capsys):
     try:
@@ -323,6 +324,15 @@ def test_cli_usage_and_input_errors_exit_2(argv, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "error" in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_word_names_the_letter_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ball-search", "--word", "z1 z256"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == ("fockalg ball-search: error: argument --word: invalid word 'z1 z256': "
+                   "letters must be integers in 1..255, got 256\n")
 
 
 # -- experiment table ------------------------------------------------------------
@@ -361,7 +371,7 @@ def test_factor_search_demo_script_runs():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("target L_[z1 z2]  restarts=2  seed=7")
     # bad input is one line on stderr and exit code 2, not a traceback
-    for args in (["z1 z2", "abc"], ["z1 z2", "0"], ["zq"]):
+    for args in (["z1 z2", "abc"], ["z1 z2", "0"], ["zq"], ["z256"]):
         proc = subprocess.run(
             [sys.executable, str(root / "scripts" / "factor_search_demo.py"), *args],
             capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},

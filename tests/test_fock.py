@@ -79,3 +79,49 @@ def test_validation():
                 lambda: FreeSeries(0, {word(1): 1.0}), lambda: FockVector.make(0, 2, {word(1): 1.0})):
         with pytest.raises(ValueError, match="need n >= 1 and N >= 0"):
             act()
+
+
+# the public entry points of a map, at n = 2 (and N = 3 for vectors)
+ENTRIES = {
+    "FreeSeries": lambda coeffs: FreeSeries(2, coeffs),
+    "FreeSeries.make": lambda coeffs: FreeSeries.make(2, coeffs),
+    "FockVector": lambda coeffs: FockVector(2, 3, coeffs),
+    "FockVector.make": lambda coeffs: FockVector.make(2, 3, coeffs),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
+def test_entry_accepts_plain_bytes_keys(entry):
+    """The derived keys of one map, plain bytes, enter another map."""
+    s = FreeSeries.make(2, {word(1): 1.0}).mul(FreeSeries.make(2, {Word(): 1.0, word(2): 2.0}))
+    assert {type(w) for w in s.coeffs} == {bytes}
+    m = ENTRIES[entry](s.coeffs)
+    assert m.coeffs == {word(1): 1.0, word(1, 2): 2.0}
+    assert m.support() == [word(1), word(1, 2)]
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
+@pytest.mark.parametrize("key, error, match", [
+    pytest.param(b"\x01\x00", ValueError, r"outside the alphabet 1\.\.2", id="zero-byte"),
+    pytest.param(b"\x00", ValueError, r"outside the alphabet 1\.\.2", id="zero-letter"),
+    pytest.param(b"\x01\x03", ValueError,
+                 r"Word\(z1 z3\) uses letters outside the alphabet 1\.\.2", id="letter-above-n"),
+    pytest.param(b"\xff", ValueError, r"outside the alphabet 1\.\.2", id="letter-255"),
+    pytest.param((1, 2), TypeError, r"keys must be Words or bytes, got \(1, 2\) \(tuple\)",
+                 id="tuple"),
+    pytest.param(1, TypeError, r"got 1 \(int\)", id="int"),
+    pytest.param(type("Letters", (bytes,), {})(b"\x02"), TypeError, r"\(Letters\)",
+                 id="bytes-subclass"),
+])
+def test_entry_checks_plain_bytes_keys(entry, key, error, match):
+    """Plain bytes keys are checked as Words are; any other key type is a TypeError."""
+    with pytest.raises(error, match=match):
+        ENTRIES[entry]({word(1): 1.0, key: 1.0})
+
+
+@pytest.mark.parametrize("entry", ["FockVector", "FockVector.make"])
+def test_entry_checks_plain_bytes_length(entry):
+    with pytest.raises(ValueError, match=r"Word\(z1 z2 z1 z2\) longer than truncation 3"):
+        ENTRIES[entry]({b"\x01": 1.0, b"\x01\x02\x01\x02": 1.0})
+    # a series has no truncation
+    assert len(FreeSeries(2, {b"\x01": 1.0, b"\x01\x02\x01\x02": 1.0}).coeffs) == 2

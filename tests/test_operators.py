@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 
@@ -31,8 +32,7 @@ from fockalg.operators import (
     series_to_op,
     symbol_norm_bound,
 )
-from fockalg.words import (BasisIndexer, Word, concat, enumerate_words, strip_prefix, strip_suffix,
-                           word)
+from fockalg.words import BasisIndexer, Word, concat, enumerate_words, word
 
 
 def delta(n, w, c=1.0):
@@ -149,30 +149,88 @@ def test_adjoint_strips_prefix():
     assert L.apply_adjoint(FockVector.basis(2, 3, word(2))).coeffs == {}
 
 
-def _adjoint_per_term(X, xi):
-    """S_s* xi as one strip per (vector word, symbol word) pair."""
-    strip = strip_prefix if X.side == "left" else strip_suffix
+# Tuple-keyed reference loops: words as tuples of letters, the representation
+# before a word was its bytes.  Each sums in the order the package's loops sum
+# in, so the coefficients must agree bitwise and in insertion order.
+
+
+def _ref_convolve(left, right, max_len):
+    """out_w = sum over w = uv of left_u right_v, |w| <= max_len, in the order
+    of a loop over left, then right."""
     out = {}
-    for v, c in xi.coeffs.items():
-        for w, a in X.symbol.coeffs.items():
-            t = strip(v, w)
+    for u, a in left.items():
+        for v, b in right.items():
+            if len(u) + len(v) <= max_len:
+                w = tuple(u) + tuple(v)
+                out[w] = out.get(w, 0.0) + a * b
+    return out
+
+
+def _ref_strip(v, w, side):
+    """t with v = wt (v = tw on the right) as a letter tuple, or None."""
+    v, w = tuple(v), tuple(w)
+    m = len(v) - len(w)
+    if m < 0 or (v[:len(w)] if side == "left" else v[m:]) != w:
+        return None
+    return v[len(w):] if side == "left" else v[:m]
+
+
+def _ref_adjoint(symbol, xi, side):
+    """S_s* xi as one strip per (vector word, symbol word) pair."""
+    out = {}
+    for v, c in xi.items():
+        for w, a in symbol.items():
+            t = _ref_strip(v, w, side)
             if t is not None:
                 out[t] = out.get(t, 0.0) + a.conjugate() * c
-    return FockVector.make(X.n, X.N, out)
+    return out
+
+
+def _ref_gram(a, b, side):
+    """gram(a, b, side) from tuple strips."""
+    out = {}
+    for w, x in a.items():
+        for v, y in b.items():
+            t = _ref_strip(v, w, side)
+            key = (t, False) if t is not None else (_ref_strip(w, v, side), True)
+            if key[0] is not None:
+                out[key] = out.get(key, 0.0) + x.conjugate() * y
+    return out
+
+
+def _items(m):
+    """A map's items with its words as letter tuples, in insertion order."""
+    return [(tuple(w), c) for w, c in m.coeffs.items()]
+
+
+def _nonzero(ref):
+    return [(t, c) for t, c in ref.items() if c != 0]
 
 
 @settings(deadline=None, max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3]),
        side=st.sampled_from(["left", "right"]), degree=st.integers(0, 4))
 def test_apply_adjoint_matches_per_term_strips(seed, n, side, degree):
+    """apply_adjoint, apply and mul equal the tuple-keyed reference loops bitwise,
+    coefficient by coefficient in insertion order (the summation order is what
+    keeps reports byte-identical), and support() is the (len, letters) order."""
     rng = np.random.default_rng(seed)
     N = 6
     # random_series lists its words in random order, so lengths come mixed
-    X = series_to_op(random_series(rng, n, degree, 8), n, N, side)
+    s, t = random_series(rng, n, degree, 8), random_series(rng, n, 3, 8)
+    X = series_to_op(s, n, N, side)
     xi = FockVector.make(n, N, random_series(rng, n, N, 40).coeffs)
-    got, want = X.apply_adjoint(xi), _adjoint_per_term(X, xi)
-    # bitwise equal coefficients, in the same order
-    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    image = _ref_convolve(s.coeffs, xi.coeffs, N) if side == "left" \
+        else _ref_convolve(xi.coeffs, s.coeffs, N)
+    cases = [(X.apply_adjoint(xi), _ref_adjoint(s.coeffs, xi.coeffs, side)),
+             (X.apply(xi), image),
+             (s.mul(t), _ref_convolve(s.coeffs, t.coeffs, math.inf)),
+             (s.mul(t, max_degree=degree + 1), _ref_convolve(s.coeffs, t.coeffs, degree + 1)),
+             (xi.mul(xi), _ref_convolve(xi.coeffs, xi.coeffs, N))]
+    for got, want in cases:
+        assert _items(got) == _nonzero(want)
+        order = sorted(want, key=lambda t: (len(t), t))
+        assert [w.letters for w in got.support()] == [t for t in order if want[t] != 0]
 
 
 def _assert_checked(m):
@@ -202,6 +260,51 @@ def test_derived_maps_pass_the_entry_check(seed, n, side, degree):
                FockVector.make(n, N, {Word(): np.float64(0.5), Word((n,)): 0})]
     for m in entered + derived:
         _assert_checked(m)
+
+
+def _assert_plain_keys(keys, want):
+    """keys are exact bytes, untracked by the cyclic GC, and spell the words of want."""
+    keys = list(keys)
+    assert all(type(w) is bytes and not gc.is_tracked(w) for w in keys), keys
+    assert len(keys) == len(set(keys)) and set(keys) == {Word(t) for t in want}
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3]),
+       side=st.sampled_from(["left", "right"]), degree=st.integers(0, 3))
+def test_derived_keys_are_plain_bytes(seed, n, side, degree):
+    """Products, strips, sums, scalings, truncations, corners and gram terms key
+    their maps by exact bytes, one small object per word that caches its hash
+    and that the cyclic GC never tracks, equal to the Words the tuple-keyed
+    references spell."""
+    rng = np.random.default_rng(seed)
+    N = 6
+    s, t = random_series(rng, n, degree, 8), random_series(rng, n, 3, 8)
+    xi = FockVector.make(n, N, random_series(rng, n, N, 20).coeffs)
+    X = series_to_op(s, n, N, side)
+    prod, image, adjoint = s.mul(t), X.apply(xi), X.apply_adjoint(xi)
+    want_prod = _ref_convolve(s.coeffs, t.coeffs, math.inf)
+    want_image = _ref_convolve(s.coeffs, xi.coeffs, N) if side == "left" \
+        else _ref_convolve(xi.coeffs, s.coeffs, N)
+    want_adjoint = _ref_adjoint(s.coeffs, xi.coeffs, side)
+    want_sum = dict(want_image)
+    for w, c in want_adjoint.items():
+        want_sum[w] = want_sum.get(w, 0.0) + c
+    a = complex(*rng.standard_normal(2))
+    k = degree + 1
+    cases = [(prod, want_prod), (image, want_image), (adjoint, want_adjoint),
+             (image.add(adjoint), want_sum), (prod.scale(a), want_prod),
+             (prod.truncate(k), {w: c for w, c in want_prod.items() if len(w) <= k})]
+    for got, want in cases:
+        _assert_plain_keys(got.coeffs, [w for w, c in want.items() if c != 0])
+    scalars, corners = decompose_at(prod, k)
+    _assert_plain_keys(scalars, [w for w, c in want_prod.items() if c != 0 and len(w) < k])
+    for w, corner in corners.items():
+        _assert_plain_keys(corner.coeffs, [v[k:] for v, c in want_prod.items()
+                                           if c != 0 and v[:k] == w.letters])
+    g = gram(s, prod, side)
+    assert all(type(w) is bytes and not gc.is_tracked(w) for w, _ in g)
+    assert set(g) == {(Word(w), starred) for w, starred in _ref_gram(s.coeffs, prod.coeffs, side)}
 
 
 def test_operator_and_vector_spaces_must_match():

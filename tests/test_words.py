@@ -137,16 +137,29 @@ def test_word_string_roundtrip():
         Word.parse("x1")
 
 
-def test_word_is_the_tuple_of_its_letters():
-    assert Word((1, 2)) == (1, 2)
-    assert hash(Word((1, 2))) == hash((1, 2))
+def test_word_is_the_bytes_of_its_letters():
+    """A Word equals and hashes as the plain bytes of its letters, one letter a
+    byte, and still reads as a sequence of int letters."""
+    w = word(3, 1, 2)
+    assert w == b"\x03\x01\x02" and hash(w) == hash(b"\x03\x01\x02")
+    assert w != (3, 1, 2)
+    assert w.letters == (3, 1, 2) and list(w) == [3, 1, 2] and len(w) == 3
+    assert w[0] == 3 and w[1:] == word(1, 2) and type(w[1:]) is bytes
+    assert type(w + word(1)) is bytes and w + word(1) == word(3, 1, 2, 1)
+    assert Word(b"\x01\x02") == word(1, 2) and Word(w) is not w
+    assert str(word(255, 1)) == "z255 z1"
     assert repr(Word()) == "Word(1)" and repr(word(2, 1)) == "Word(z2 z1)"
+    # the basis order: (len, bytes) sorts as (len, letter tuple)
+    ws = [word(2), word(1, 255), Word(), word(1, 2), word(255), word(2, 1), word(1, 1, 1)]
+    assert sorted(ws, key=lambda w: (len(w), w)) == sorted(ws, key=lambda w: (len(w), w.letters))
 
 
 @settings(max_examples=40, deadline=None)
 @given(u=letters, v=letters, seed=st.integers(0, 2**32 - 1))
 def test_word_algebra_returns_words(u, v, seed):
-    """Every word the algebra hands out is a Word, never a bare tuple slice."""
+    """The word functions hand out Words; the maps key their products, images
+    and corners by plain bytes that spell words the letter check passes, and
+    hand them back out as Words through support()."""
     rng = np.random.default_rng(seed)
     n, N = 3, 6
     uv = concat(u, v)
@@ -155,41 +168,60 @@ def test_word_algebra_returns_words(u, v, seed):
     produced += [BasisIndexer(n, N).word_at(i) for i in range(0, 1093, 37)]
     s, t = random_series(rng, n, 3, 5), random_series(rng, n, 3, 5)
     prod = s.mul(t)
-    produced += list(prod.coeffs)
     xi = FockVector.make(n, N, random_series(rng, n, N, 8).coeffs)
+    maps = [prod]
     for side in (LEFT, RIGHT):
         X = series_to_op(s, n, N, side)
-        produced += list(X.apply(xi).coeffs) + list(X.apply_adjoint(xi).coeffs)
+        maps += [X.apply(xi), X.apply_adjoint(xi)]
     scalars, corners = decompose_at(prod, 2)
-    produced += list(scalars) + list(corners)
-    produced += [w for corner in corners.values() for w in corner.coeffs]
-    produced += list(classify_word_factorization(s, t, uv)[1])
+    maps += list(corners.values())
+    produced += list(corners) + list(classify_word_factorization(s, t, uv)[1])
+    keys = list(scalars) + [w for m in maps for w in m.coeffs]
+    produced += [w for m in maps for w in m.support()]
     for w in produced:
         assert type(w) is Word, repr(w)
         assert Word.parse(str(w)) == w
         assert Word(tuple(w)) == w  # built without the check, yet it passes it
+    for w in keys:
+        assert type(w) is bytes, repr(w)
+        assert Word(w) == w and max(w, default=1) <= n
 
 
 def test_word_letter_validation():
-    with pytest.raises(ValueError):
-        Word((0,))
-    with pytest.raises(ValueError):
-        Word((-1, 2))
+    """Letters are the ints 1..255, one a byte; anything else is one ValueError
+    that names the range, raised before the bytes conversion could fail."""
     # True == 1, but "zTrue z2" would not parse back
-    for bad in [(True, 2), (False,), (1, 2.0), (1, "2")]:
-        with pytest.raises(ValueError):
+    for bad in [(0,), (-1, 2), (True, 2), (False,), (1, 2.0), (1, "2"), (256,), (1, 1000),
+                (None,)]:
+        with pytest.raises(ValueError, match=r"letters must be integers in 1\.\.255, got "):
             Word(bad)
 
 
 def test_word_algebra_checks_plain_tuples():
-    """Only Words skip the check: plain tuples with a bad letter still raise."""
+    """Only Words skip the check: plain tuples and plain bytes with a bad letter
+    still raise."""
     for act in [lambda: concat((1, 0), word(1)), lambda: concat(word(1), (True,)),
                 lambda: strip_prefix((1, 0), (1,)), lambda: strip_prefix((1, 0), word(1)),
                 lambda: strip_suffix((0, 1), word(1)), lambda: strip_suffix((0, 1), ()),
-                lambda: reverse((2, -1))]:
+                lambda: reverse((2, -1)), lambda: concat(word(1), (256,)),
+                lambda: concat(b"\x01\x00", word(1)), lambda: strip_prefix(b"\x00\x01", b""),
+                lambda: strip_suffix(word(1), b"\x00"), lambda: reverse(b"\x02\x00")]:
         with pytest.raises(ValueError):
             act()
-    # good plain tuples come back as Words
+    # good plain tuples and bytes come back as Words
     for w in [concat((1,), (2,)), strip_prefix((1, 2), ()), strip_suffix((1, 2), word(2)),
-              reverse((1, 2))]:
+              reverse((1, 2)), concat(b"\x01", (2,)), strip_prefix(b"\x01\x02", b"\x01"),
+              strip_suffix(b"\x01\x02", word(2)), reverse(b"\x01\x02")]:
         assert type(w) is Word
+
+
+def test_word_letter_bound_at_255():
+    assert Word((255, 1)).letters == (255, 1)
+    assert Word.parse("z255") == word(255)
+    with pytest.raises(ValueError, match=r"1\.\.255, got 256"):
+        Word.parse("z1 z256")
+    # an alphabet has at most 255 letters
+    for act in (lambda: enumerate_words(256, 1), lambda: BasisIndexer(256, 1)):
+        with pytest.raises(ValueError, match="255"):
+            act()
+    assert len(enumerate_words(255, 1)) == 255 and BasisIndexer(255, 1).word_at(255) == word(255)

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import experiments
-from .words import BasisCapExceeded, Word
+from .words import BasisCapExceeded
 
 
 class _Parser(argparse.ArgumentParser):
@@ -25,12 +25,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _word(text: str) -> Word:
-    """Word.parse, keeping its message (argparse reports a ValueError as "invalid parse value")."""
-    try:
-        return Word.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid word {text!r}: {exc}") from None
+def _checked(parse, flag: str):
+    """parse (a checked parser of experiments.EXPERIMENTS) as an argparse type
+    that keeps its ValueError message (argparse would report "invalid parse_flag
+    value") and names the flag."""
+    def parse_flag(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid {flag} {text!r}: {exc}") from None
+    return parse_flag
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, flags in experiments.EXPERIMENTS.items():
         p = sub.add_parser(name)
         for flag, (_, kind, text) in flags.items():
-            p.add_argument(f"--{flag}", type=_word if kind is Word.parse else kind, help=text)
+            p.add_argument(f"--{flag}", type=kind if isinstance(kind, type) else _checked(kind, flag),
+                           help=text)
         p.add_argument("--out", help="write the report JSON here")
     p = sub.add_parser("run-all")
     p.add_argument("--seed", type=int, default=7)

@@ -594,13 +594,23 @@ def exp_ball_search(w: Word | None = None, degree: int = 2, n: int = 2,
 
 # ---------------------------------------------------------------------------
 
+
+def tolerance(text: str) -> float:
+    """A verdict tolerance: NaN, negative and infinite values can never give a
+    meaningful verdict, so they are refused."""
+    tol = float(text)
+    if not 0 <= tol < math.inf:
+        raise ValueError("need a finite tol >= 0")
+    return tol
+
+
 # Command-line flags of each experiment, in run-all order:
-# flag -> (keyword argument, type, help).
+# flag -> (keyword argument, type or checked parser, help).
 _N = ("n", int, "alphabet size")
 _LEVEL = ("N", int, "truncation level N")
 _K = ("K", int, "series order / term count K")
 _KMAX = ("kmax", int, "iteration or level bound")
-_TOL = ("tol", float, "verdict tolerance")
+_TOL = ("tol", tolerance, "verdict tolerance")
 _SEED = ("seed", int, "random seed")
 _GRID = ("grid", int, "circle grid size")
 

@@ -106,12 +106,29 @@ class TruncOp:
         self._check_vector(xi)
         # L_w* xi_v = xi_t when v = wt (R_w* xi_v = xi_t when v = tw).  For a
         # fixed v each length of w gives at most one match, so each v costs
-        # one slice and lookup per symbol length.  The matches are summed in
-        # symbol order, the order of a loop over w.
-        index = {w: (i, a.conjugate()) for i, (w, a) in enumerate(self.symbol.coeffs.items())}
-        lengths = sorted({len(w) for w in index})
+        # one slice and lookup per symbol length.  The matches of one v are
+        # added in symbol order, the order of a loop over w, which fixes the
+        # order in which new words enter the map.  When the symbol lists its
+        # words by non-decreasing length, ascending lengths already visit the
+        # matches in that order; otherwise each v's matches are sorted.
+        coeffs = self.symbol.coeffs
+        by_length = [len(w) for w in coeffs]
+        lengths = sorted(set(by_length))
         left = self.side == LEFT
         out: dict[bytes, complex] = {}
+        if by_length == sorted(by_length):
+            conj = {w: a.conjugate() for w, a in coeffs.items()}
+            for v, c in xi.coeffs.items():
+                m = len(v)
+                for k in lengths:
+                    if k > m:
+                        break
+                    a_conj = conj.get(v[:k] if left else v[m - k:])
+                    if a_conj is not None:
+                        t = v[k:] if left else v[:m - k]
+                        out[t] = out.get(t, 0.0) + a_conj * c
+            return xi._like(out)
+        index = {w: (i, a.conjugate()) for i, (w, a) in enumerate(coeffs.items())}
         for v, c in xi.coeffs.items():
             m = len(v)
             hits = []
@@ -410,15 +427,18 @@ def numerical_rank(m: np.ndarray, tol: float = 1e-9) -> int:
 def commutant_residual(X: TruncOp) -> float:
     """max_i of the spectral norm of (X R_i - R_i X) restricted to input
     levels <= frontier - 1; vanishes exactly when X is the compression of a
-    left-symbol operator, within the exact region."""
+    left-symbol operator, within the exact region.  R_i is a 0/1 shift with at
+    most one entry per column, kept sparse at every size: X R_i gathers columns
+    and R_i X scatters rows, each entry one product with 1.0, so D holds the
+    same floats as the dense products would."""
     if X.frontier < 1:
         return 0.0
     cols = BasisIndexer(X.n, X.N).level_offset(X.frontier)
     worst = 0.0
     for i in range(1, X.n + 1):
-        R = creation_op(RIGHT, Word((i,)), X.n, X.N).matrix
-        D = X.matrix @ R - R @ X.matrix
-        D = D[:, :cols]
+        R = sp.csr_matrix(creation_op(RIGHT, Word((i,)), X.n, X.N).matrix)
+        # only the first cols columns of D are measured
+        D = X.matrix @ R[:, :cols] - R @ X.matrix[:, :cols]
         worst = max(worst, _spectral_norm(D))
     return worst
 

@@ -12,7 +12,7 @@ import pytest
 from fockalg import experiments as E
 from fockalg import operators
 from fockalg.calculus import FactorCandidate
-from fockalg.cli import main
+from fockalg.cli import build_parser, main
 from fockalg.operators import FreeSeries
 from fockalg.report import Report
 from fockalg.words import BasisCapExceeded, Word, word
@@ -313,6 +313,9 @@ def test_cli_failing_verdict_exit_code(capsys):
     ["ideal-counterexample", "--level", "1"],  # no vector to check the identity on
     ["flip-examples", "--terms", "-1"],
     ["ball-search", "--word", "z256"],  # one letter a byte
+    # a tolerance that can never give a meaningful verdict
+    *([name, "--tol", bad] for name, flags in E.EXPERIMENTS.items() if "tol" in flags
+      for bad in ("nan", "-1", "inf", "-inf")),
 ])
 def test_cli_usage_and_input_errors_exit_2(argv, capsys):
     try:
@@ -324,6 +327,20 @@ def test_cli_usage_and_input_errors_exit_2(argv, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "error" in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_tol_is_checked(capsys):
+    tol_flags = [name for name, flags in E.EXPERIMENTS.items() if "tol" in flags]
+    assert len(tol_flags) == 6
+    parser = build_parser()
+    for name in tol_flags:
+        assert parser.parse_args([name, "--tol", "0"]).tol == 0.0
+        assert parser.parse_args([name, "--tol", "1e-9"]).tol == 1e-9
+    with pytest.raises(SystemExit) as exc:
+        main(["codim-counts", "--tol", "nan"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == ("fockalg codim-counts: error: argument --tol: "
+                                       "invalid tol 'nan': need a finite tol >= 0\n")
 
 
 def test_cli_word_names_the_letter_bound(capsys):

@@ -216,13 +216,17 @@ def test_apply_adjoint_matches_per_term_strips(seed, n, side, degree):
     keeps reports byte-identical), and support() is the (len, letters) order."""
     rng = np.random.default_rng(seed)
     N = 6
-    # random_series lists its words in random order, so lengths come mixed
+    # random_series lists its words in random order, so lengths come mixed and
+    # apply_adjoint sorts its matches; listed by length, it adds them at once
     s, t = random_series(rng, n, degree, 8), random_series(rng, n, 3, 8)
+    by_length = FreeSeries.make(n, dict(sorted(s.coeffs.items(), key=lambda item: len(item[0]))))
     X = series_to_op(s, n, N, side)
     xi = FockVector.make(n, N, random_series(rng, n, N, 40).coeffs)
     image = _ref_convolve(s.coeffs, xi.coeffs, N) if side == "left" \
         else _ref_convolve(xi.coeffs, s.coeffs, N)
     cases = [(X.apply_adjoint(xi), _ref_adjoint(s.coeffs, xi.coeffs, side)),
+             (series_to_op(by_length, n, N, side).apply_adjoint(xi),
+              _ref_adjoint(by_length.coeffs, xi.coeffs, side)),
              (X.apply(xi), image),
              (s.mul(t), _ref_convolve(s.coeffs, t.coeffs, math.inf)),
              (s.mul(t, max_degree=degree + 1), _ref_convolve(s.coeffs, t.coeffs, degree + 1)),
@@ -571,6 +575,38 @@ def test_commutant_rejects_non_symbols(rng):
     d = rng.standard_normal(idx.size)
     X = op_from_matrix(np.diag(d).astype(complex), 2, 4)
     assert commutant_residual(X) > 1e-3
+
+
+def _ref_commutant(X):
+    """max_i of the norm of (M R_i - R_i M)[:, :cols], products of the matrices as built."""
+    cols = BasisIndexer(X.n, X.N).level_offset(X.frontier)
+    M, worst = X.matrix, 0.0
+    for i in range(1, X.n + 1):
+        R = creation_op("right", word(i), X.n, X.N).matrix
+        worst = max(worst, operators._spectral_norm((M @ R - R @ M)[:, :cols]))
+    return worst
+
+
+def test_commutant_matches_dense_products(rng):
+    n, N = 2, 6
+    size = BasisIndexer(n, N).size
+    M = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    X = op_from_matrix(M, n, N)
+    assert isinstance(creation_op("right", word(1), n, N).matrix, np.ndarray)
+    assert commutant_residual(X) == _ref_commutant(X) > 1.0
+    s = random_series(rng, n, 2, 6)
+    Y = series_to_op(s, n, N)
+    assert commutant_residual(Y) == _ref_commutant(Y)
+
+
+def test_commutant_sparse_above_dense_cap(rng):
+    n, N = 2, 12
+    size = BasisIndexer(n, N).size
+    assert size > operators.DENSE_CAP
+    M = sp.random(size, size, density=2e-4, format="csr", dtype=complex, rng=rng,
+                  data_rvs=lambda k: rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    X = op_from_matrix(M, n, N)
+    assert commutant_residual(X) == _ref_commutant(X) > 1.0
 
 
 def test_commutant_right_generator():

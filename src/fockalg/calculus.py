@@ -153,7 +153,6 @@ class FactorCandidate:
     residual: float
     manifold_distance: float
     split: tuple[Word, Word]
-    phase: complex
     iterations: int
     restart: int
 
@@ -288,7 +287,7 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
         bser = FreeSeries.make(n, dict(zip(basis, bvec)))
         cser = FreeSeries.make(n, dict(zip(basis, cvec)))
         residual = factorization_residual(bser, cser, w, n, N)
-        dist, split, lam = classify_word_factorization(bser, cser, w)
-        out.append(FactorCandidate(bser, cser, residual, dist, split, lam, len(history), r))
+        dist, split, _ = classify_word_factorization(bser, cser, w)
+        out.append(FactorCandidate(bser, cser, residual, dist, split, len(history), r))
     out.sort(key=lambda cand: cand.residual)
     return out

@@ -67,6 +67,7 @@ def exp_adjoint_decay(lam: complex = 0.5, N: int = 4, kmax: int = 200,
     sum_{j<=l} C(k,j) |lam|^{k-j} ||(A*)^j xi_w|| with A the scalar-free part;
     C(k,j) is the falling-factorial polynomial p_j evaluated at integer k.
     """
+    tol = tolerance(tol)
     lam = complex(lam)
     if abs(lam) >= 1:
         raise ValueError(f"need |lam| < 1, got {abs(lam)}")
@@ -140,6 +141,7 @@ def exp_codim_counts(symbol: FreeSeries | None = None, n: int = 2, N: int = 5,
                      tol: float = 1e-9) -> Report:
     """Per-level dimension of the range complement of an isometry with no
     scalar part; each level-k complement has dimension >= n^k - (n^k-1)/(n-1)."""
+    tol = tolerance(tol)
     if n < 2:
         raise ValueError("codimension counts need n >= 2")
     if symbol is None:
@@ -179,6 +181,7 @@ def exp_codim_counts(symbol: FreeSeries | None = None, n: int = 2, N: int = 5,
 def exp_factor_generator(K: int = 64, N: int | None = None, tol: float = 1e-9) -> Report:
     """g(L1) A = L2 with g the reciprocal of the harmonic-coefficient series
     and A = sum_{k<K} L1^k L2 / (k+1); exact coefficientwise down to depth K."""
+    tol = tolerance(tol)
     if K < 1:
         raise ValueError("need K >= 1")
     if N is None:
@@ -222,6 +225,7 @@ def exp_thin_isometry(n: int = 2, kmax: int = 2, N: int | None = None,
     """The thin vector x = sum_k 2^{-(k+1)/2} ||x_k||^{-1} x_k with
     x_k = sum_{|w|=k} xi_{w w z2 z1^k}; suffix-stripping by u z2 z1^k recovers
     xi_u exactly, and the recovered family spans every level <= kmax."""
+    tol = tolerance(tol)
     if n < 2:
         raise ValueError("construction uses two letters; need n >= 2")
     if N is None:
@@ -294,6 +298,7 @@ def exp_ideal_counterexample(a: FreeSeries | None = None, n: int = 2, N: int = 1
     """Compression identity Q L2* L_v* J Q = a_v sum_k lam_k L1^k Q for the
     candidate J ~ sum a_w lam_k L_w L2 L1^k, plus sup-norm growth of the
     diagonal partial sums (the unboundedness evidence)."""
+    tol = tolerance(tol)
     if a is None:
         a = FreeSeries.make(2, {Z1: 0.8, Word((2, 2)): 0.6})
     if not a.coeffs:
@@ -396,6 +401,7 @@ def exp_eigenvector(lam_tuple: tuple[complex, ...] | None = None, n: int = 2,
                     N: int = 12, seed: int | None = None, tol: float = 1e-12) -> Report:
     """Eigenvector of the right-algebra adjoints: coefficients are conjugated
     letter products of lam, and stripping the suffix z_i scales by conj(lam_i)."""
+    tol = tolerance(tol)
     if lam_tuple is None:
         if seed is not None:
             rng = np.random.default_rng(seed)
@@ -595,9 +601,9 @@ def exp_ball_search(w: Word | None = None, degree: int = 2, n: int = 2,
 # ---------------------------------------------------------------------------
 
 
-def tolerance(text: str) -> float:
-    """A verdict tolerance: NaN, negative and infinite values can never give a
-    meaningful verdict, so they are refused."""
+def tolerance(text: str | float) -> float:
+    """A verdict tolerance, from the command line or a caller: NaN, negative and
+    infinite values can never give a meaningful verdict, so they are refused."""
     tol = float(text)
     if not 0 <= tol < math.inf:
         raise ValueError("need a finite tol >= 0")

@@ -13,6 +13,10 @@ truncations and products of checked maps (and the images of vectors under
 symbol-backed operators) pass that check by closure, so they are built by
 ``_like``, which only drops zero coefficients; their new keys are plain bytes
 (``u + v``, slices), which ``support`` and ``to_records`` hand out as Words.
+
+Two kernels make every such map past a sum, scaling or truncation: products
+``_convolve`` (series products and the images S xi) and strips ``_strips``
+(the images S* xi and both halves of ``operators.gram``).
 """
 
 from __future__ import annotations
@@ -62,6 +66,27 @@ def _convolve(left: dict[bytes, complex], right: dict[bytes, complex],
             if len(v) <= room:
                 w = u + v
                 out[w] = out.get(w, 0.0) + a * b
+    return out
+
+
+def _strips(symbol: dict[bytes, complex], vec: dict[bytes, complex],
+            left: bool) -> dict[bytes, complex]:
+    """Strips of one checked map by another, the coefficients of S_symbol* vec:
+    out_t = sum over v = wt (v = tw when not left) of conj(symbol_w) vec_v.
+    Each v costs one slice and lookup per symbol length, and its matches write
+    distinct keys t, so every out_t sums in the order of vec."""
+    conj = {w: a.conjugate() for w, a in symbol.items()}
+    lengths = sorted(set(map(len, symbol)))
+    out: dict[bytes, complex] = {}
+    for v, c in vec.items():
+        m = len(v)
+        for k in lengths:
+            if k > m:
+                break
+            a_conj = conj.get(v[:k] if left else v[m - k:])
+            if a_conj is not None:
+                t = v[k:] if left else v[:m - k]
+                out[t] = out.get(t, 0.0) + a_conj * c
     return out
 
 

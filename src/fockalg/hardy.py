@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .words import BasisCapExceeded, basis_cap
+
 GUARD_BAND = 0.05  # radians around theta = 0 excluded from circle scans
 
 
@@ -99,10 +101,18 @@ def boundary_modulus(theta: float) -> float:
     return math.sqrt(a * a + b * b)
 
 
-def circle_grid(grid: int, guard: float = GUARD_BAND) -> np.ndarray:
-    """Angles (-pi, pi] on a uniform grid with |theta| < guard removed."""
+def _check_grid(grid: int) -> None:
+    """8 <= grid <= the basis cap, the package's one bound on a run's size."""
     if grid < 8:
         raise ValueError("need at least 8 grid points")
+    limit = basis_cap()
+    if grid > limit:
+        raise BasisCapExceeded(f"grid of {grid} points exceeds cap {limit}")
+
+
+def circle_grid(grid: int, guard: float = GUARD_BAND) -> np.ndarray:
+    """Angles (-pi, pi] on a uniform grid with |theta| < guard removed."""
+    _check_grid(grid)
     theta = (np.arange(grid) + 0.5) * (2.0 * math.pi / grid) - math.pi
     return theta[np.abs(theta) >= guard]
 
@@ -111,8 +121,7 @@ def partial_sum_sup(s: ScalarSeries, m: int, grid: int) -> float:
     """max over grid points e^{i theta} of |sum_{k<=m} c_k e^{i k theta}|."""
     if m > s.order:
         raise ValueError(f"m = {m} exceeds stored order {s.order}")
-    if grid < 8:
-        raise ValueError("need at least 8 grid points")
+    _check_grid(grid)
     theta = np.arange(grid) * (2.0 * math.pi / grid)
     z = np.exp(1j * theta)
     val = np.full(grid, s.coeffs[m], dtype=complex)

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fock import FockVector, FreeSeries, _convolve
+from .fock import FockVector, FreeSeries, _convolve, _strips
 from .words import BasisCapExceeded, BasisIndexer, Word, enumerate_words
 
 DENSE_CAP = 4096
@@ -103,46 +103,11 @@ class TruncOp:
         return xi._like(out)
 
     def apply_adjoint(self, xi: FockVector) -> FockVector:
+        # L_w* xi_v = xi_t when v = wt (R_w* xi_v = xi_t when v = tw).  The
+        # matches of one v have distinct lengths, so each writes its own key t:
+        # the order they are met in changes no sum and needs no sort.
         self._check_vector(xi)
-        # L_w* xi_v = xi_t when v = wt (R_w* xi_v = xi_t when v = tw).  For a
-        # fixed v each length of w gives at most one match, so each v costs
-        # one slice and lookup per symbol length.  The matches of one v are
-        # added in symbol order, the order of a loop over w, which fixes the
-        # order in which new words enter the map.  When the symbol lists its
-        # words by non-decreasing length, ascending lengths already visit the
-        # matches in that order; otherwise each v's matches are sorted.
-        coeffs = self.symbol.coeffs
-        by_length = [len(w) for w in coeffs]
-        lengths = sorted(set(by_length))
-        left = self.side == LEFT
-        out: dict[bytes, complex] = {}
-        if by_length == sorted(by_length):
-            conj = {w: a.conjugate() for w, a in coeffs.items()}
-            for v, c in xi.coeffs.items():
-                m = len(v)
-                for k in lengths:
-                    if k > m:
-                        break
-                    a_conj = conj.get(v[:k] if left else v[m - k:])
-                    if a_conj is not None:
-                        t = v[k:] if left else v[:m - k]
-                        out[t] = out.get(t, 0.0) + a_conj * c
-            return xi._like(out)
-        index = {w: (i, a.conjugate()) for i, (w, a) in enumerate(coeffs.items())}
-        for v, c in xi.coeffs.items():
-            m = len(v)
-            hits = []
-            for k in lengths:
-                if k > m:
-                    break
-                hit = index.get(v[:k] if left else v[m - k:])
-                if hit is not None:
-                    hits.append((hit, k))
-            hits.sort()
-            for (_, a_conj), k in hits:
-                t = v[k:] if left else v[:m - k]
-                out[t] = out.get(t, 0.0) + a_conj * c
-        return xi._like(out)
+        return xi._like(_strips(self.symbol.coeffs, xi.coeffs, self.side == LEFT))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -298,16 +263,9 @@ def gram(a: FreeSeries, b: FreeSeries, side: str) -> dict[tuple[bytes, bool], co
     """
     if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    # t with v = wt (v = tw for R) as a slice, or None
-    strip = (lambda v, w: v[len(w):] if v.startswith(w) else None) if side == LEFT \
-        else (lambda v, w: v[:len(v) - len(w)] if v.endswith(w) else None)
-    out: dict[tuple[bytes, bool], complex] = {}
-    for w, x in a.coeffs.items():
-        for v, y in b.coeffs.items():
-            t = strip(v, w)
-            key = (t, False) if t is not None else (strip(w, v), True)
-            if key[0] is not None:
-                out[key] = out.get(key, 0.0) + x.conjugate() * y
+    left = side == LEFT
+    out = {(t, False): c for t, c in _strips(a.coeffs, b.coeffs, left).items()}
+    out.update(((t, True), c.conjugate()) for t, c in _strips(b.coeffs, a.coeffs, left).items() if t)
     return out
 
 

@@ -235,7 +235,7 @@ def test_ball_search_feasibility_needs_an_upper_bound(monkeypatch):
     # while its compression norm at N=5 (0.990) stays below 1
     b = FreeSeries.make(2, {Word(): 0.52, word(1): 0.5})
     c = FreeSeries.delta(2, word(1, 2))
-    cand = FactorCandidate(b, c, 0.0, 0.0, (Word(), word(1, 2)), 1.0 + 0.0j, 1, 0)
+    cand = FactorCandidate(b, c, 0.0, 0.0, (Word(), word(1, 2)), 1, 0)
     monkeypatch.setattr(E, "search_ball_factorizations", lambda *args, **kwargs: [cand])
     rep = E.exp_ball_search()
     m = rep.measurements
@@ -316,6 +316,9 @@ def test_cli_failing_verdict_exit_code(capsys):
     # a tolerance that can never give a meaningful verdict
     *([name, "--tol", bad] for name, flags in E.EXPERIMENTS.items() if "tol" in flags
       for bad in ("nan", "-1", "inf", "-inf")),
+    # a grid past the basis cap, refused before it is allocated
+    ["ideal-counterexample", "--grid", "100000000000"],
+    ["flip-examples", "--grid", "100000000000"],
 ])
 def test_cli_usage_and_input_errors_exit_2(argv, capsys):
     try:
@@ -341,6 +344,17 @@ def test_cli_tol_is_checked(capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().err == ("fockalg codim-counts: error: argument --tol: "
                                        "invalid tol 'nan': need a finite tol >= 0\n")
+
+
+@pytest.mark.parametrize("name", [name for name, flags in E.EXPERIMENTS.items() if "tol" in flags])
+def test_experiment_functions_check_tol(name):
+    """The functions refuse a tolerance the CLI refuses, before any other
+    check can speak about the operator instead, and still run at tol = 0."""
+    run = E.experiment(name)
+    for bad in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError, match=r"^need a finite tol >= 0$"):
+            run(tol=bad)
+    assert 0.0 in run(tol=0).tolerances.values()
 
 
 def test_cli_word_names_the_letter_bound(capsys):

@@ -14,6 +14,7 @@ from fockalg.hardy import (
     partial_sum_sup,
     reciprocal,
 )
+from fockalg.words import BasisCapExceeded
 
 ZETA2 = math.pi**2 / 6.0
 
@@ -142,3 +143,16 @@ def test_partial_sum_sup_validation():
         partial_sum_sup(s, 9, 64)
     with pytest.raises(ValueError):
         partial_sum_sup(s, 2, 4)
+
+
+def test_grids_are_capped(monkeypatch):
+    """A grid past the basis cap is refused before numpy allocates it."""
+    s = harmonic_series(4)
+    for make in (lambda g: partial_sum_sup(s, 2, g), circle_grid):
+        monkeypatch.delenv("FOCKALG_BASIS_CAP", raising=False)
+        with pytest.raises(BasisCapExceeded, match=r"^grid of 100000000000 points exceeds cap 1000000$"):
+            make(10**11)
+        monkeypatch.setenv("FOCKALG_BASIS_CAP", "1000")
+        with pytest.raises(BasisCapExceeded, match=r"^grid of 1001 points exceeds cap 1000$"):
+            make(1001)
+        make(1000)  # a grid at the cap still runs

@@ -176,10 +176,11 @@ def _ref_strip(v, w, side):
 
 
 def _ref_adjoint(symbol, xi, side):
-    """S_s* xi as one strip per (vector word, symbol word) pair."""
+    """S_s* xi as one strip per (vector word, symbol word) pair, the symbol's
+    words visited in stable length order."""
     out = {}
     for v, c in xi.items():
-        for w, a in symbol.items():
+        for w, a in sorted(symbol.items(), key=lambda item: len(item[0])):
             t = _ref_strip(v, w, side)
             if t is not None:
                 out[t] = out.get(t, 0.0) + a.conjugate() * c
@@ -216,8 +217,8 @@ def test_apply_adjoint_matches_per_term_strips(seed, n, side, degree):
     keeps reports byte-identical), and support() is the (len, letters) order."""
     rng = np.random.default_rng(seed)
     N = 6
-    # random_series lists its words in random order, so lengths come mixed and
-    # apply_adjoint sorts its matches; listed by length, it adds them at once
+    # random_series lists its words in random order, so lengths come mixed;
+    # the same symbol listed by length must give the same map
     s, t = random_series(rng, n, degree, 8), random_series(rng, n, 3, 8)
     by_length = FreeSeries.make(n, dict(sorted(s.coeffs.items(), key=lambda item: len(item[0]))))
     X = series_to_op(s, n, N, side)
@@ -280,7 +281,7 @@ def test_derived_keys_are_plain_bytes(seed, n, side, degree):
     """Products, strips, sums, scalings, truncations, corners and gram terms key
     their maps by exact bytes, one small object per word that caches its hash
     and that the cyclic GC never tracks, equal to the Words the tuple-keyed
-    references spell."""
+    references spell; gram's values are the pairwise reference's."""
     rng = np.random.default_rng(seed)
     N = 6
     s, t = random_series(rng, n, degree, 8), random_series(rng, n, 3, 8)
@@ -306,9 +307,12 @@ def test_derived_keys_are_plain_bytes(seed, n, side, degree):
     for w, corner in corners.items():
         _assert_plain_keys(corner.coeffs, [v[k:] for v, c in want_prod.items()
                                            if c != 0 and v[:k] == w.letters])
-    g = gram(s, prod, side)
-    assert all(type(w) is bytes and not gc.is_tracked(w) for w, _ in g)
-    assert set(g) == {(Word(w), starred) for w, starred in _ref_gram(s.coeffs, prod.coeffs, side)}
+    for a, b in [(s, prod), (prod, s), (s, t)]:
+        g, want = gram(a, b, side), _ref_gram(a.coeffs, b.coeffs, side)
+        assert all(type(w) is bytes and not gc.is_tracked(w) for w, _ in g)
+        assert set(g) == {(Word(w), starred) for w, starred in want}
+        for (w, starred), c in want.items():  # equal up to the summation order
+            assert abs(g[Word(w), starred] - c) <= 1e-12 * max(1.0, abs(c))
 
 
 def test_operator_and_vector_spaces_must_match():

@@ -146,11 +146,13 @@ def verify_factorization(g: ScalarSeries, X: TruncOp, A: TruncOp, target: TruncO
 
 @dataclass
 class FactorCandidate:
-    """One local minimizer of || B C - L_w || with both factors in the ball."""
+    """One local minimizer of || B C - L_w || with both factors in the ball;
+    compression_norm is the larger factor's, from the search's own sigma plan."""
 
     b: FreeSeries
     c: FreeSeries
     residual: float
+    compression_norm: float
     manifold_distance: float
     split: tuple[Word, Word]
     iterations: int
@@ -254,9 +256,10 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
     out: list[FactorCandidate] = []
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
+        # b's start is never read (the first sweep solves for b); drawing it keeps c's the same
         bvec = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2 * m)
         cvec = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2 * m)
-        bvec, cvec = problem.project(bvec), problem.project(cvec)
+        cvec = problem.project(cvec)
         history: list[float] = []  # one residual per sweep
         for it in range(max_iter):
             bvec = np.linalg.lstsq(problem.kernel @ cvec, problem.wtarget, rcond=None)[0]
@@ -284,10 +287,11 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
             t = math.sqrt(sb / sc)
             bvec, cvec = bvec / t, cvec * t
         bvec, cvec = problem.project(bvec), problem.project(cvec)
+        norm = max(problem.sigma(bvec), problem.sigma(cvec))
         bser = FreeSeries.make(n, dict(zip(basis, bvec)))
         cser = FreeSeries.make(n, dict(zip(basis, cvec)))
         residual = factorization_residual(bser, cser, w, n, N)
         dist, split, _ = classify_word_factorization(bser, cser, w)
-        out.append(FactorCandidate(bser, cser, residual, dist, split, len(history), r))
+        out.append(FactorCandidate(bser, cser, residual, norm, dist, split, len(history), r))
     out.sort(key=lambda cand: cand.residual)
     return out

@@ -69,7 +69,7 @@ def exp_adjoint_decay(lam: complex = 0.5, N: int = 4, kmax: int = 200,
     """
     tol = tolerance(tol)
     lam = complex(lam)
-    if abs(lam) >= 1:
+    if not abs(lam) < 1:
         raise ValueError(f"need |lam| < 1, got {abs(lam)}")
     if kmax < 0:
         raise ValueError(f"need kmax >= 0, got {kmax}")
@@ -90,17 +90,14 @@ def exp_adjoint_decay(lam: complex = 0.5, N: int = 4, kmax: int = 200,
         for w in sample:
             xi = FockVector.basis(n, N, w)
             orbit = adjoint_power_orbit(L, xi, kmax)
-            l = len(w)
-            avec = xi
-            anorms = [avec.norm()]
-            for _ in range(l):
-                avec = A.apply_adjoint(avec)
-                anorms.append(avec.norm())
+            if not w:  # sample[0], the vacuum
+                vac_orbit = orbit
+            anorms = adjoint_power_orbit(A, xi, len(w))  # a contraction by its symbol bound
             bounds = []
             for k in range(kmax + 1):
                 b = sum(
                     math.comb(k, j) * abs(lam) ** (k - j) * anorms[j]
-                    for j in range(min(k, l) + 1)
+                    for j in range(min(k, len(w)) + 1)
                 )
                 bounds.append(b)
             violation = max(o - b for o, b in zip(orbit, bounds))
@@ -111,7 +108,6 @@ def exp_adjoint_decay(lam: complex = 0.5, N: int = 4, kmax: int = 200,
                 "max_bound_violation": violation,
                 "orbit_head": orbit[: min(6, len(orbit))],
             }
-        vac_orbit = adjoint_power_orbit(L, FockVector.basis(n, N, Word()), kmax)
     if any(c.category is UserWarning for c in caught):
         notes.append("operator is expansive at this truncation; orbit still decays")
     notes += sorted({str(c.message) for c in caught if c.category is not UserWarning})
@@ -252,7 +248,7 @@ def exp_thin_isometry(n: int = 2, kmax: int = 2, N: int | None = None,
         for u in enumerate_words(n, k):
             got = creation_op(RIGHT, u, n, N).apply_adjoint(partial).scale(scale)
             diff = got.sub(FockVector.basis(n, N, u))
-            recovery_err = max(recovery_err, max((abs(c) for c in diff.coeffs.values()), default=0.0))
+            recovery_err = max(recovery_err, diff.sup_abs())
 
     low_idx = BasisIndexer(n, kmax)
     rows = [creation_op(RIGHT, v, n, N).apply_adjoint(x).truncate(kmax).to_dense(low_idx)
@@ -414,7 +410,7 @@ def exp_eigenvector(lam_tuple: tuple[complex, ...] | None = None, n: int = 2,
     if len(lam_tuple) != n:
         raise ValueError("lam tuple length must equal the alphabet size")
     lam_norm = math.sqrt(sum(abs(t) ** 2 for t in lam_tuple))
-    if lam_norm >= 1:
+    if not lam_norm < 1:
         raise ValueError(f"need ||lam|| < 1, got {lam_norm}")
     BasisIndexer(n, N)  # raises BasisCapExceeded before any level is built
     # the powers of z = sum_i conj(lam_i) z_i, each level once
@@ -550,8 +546,7 @@ def exp_ball_search(w: Word | None = None, degree: int = 2, n: int = 2,
     near = [c for c in cands if c.residual <= NEAR_RESIDUAL]
     classified_ok = all(c.manifold_distance <= CLASSIFICATION_TOL for c in near)
     near_bound = max((symbol_norm_bound(f) for c in near for f in (c.b, c.c)), default=0.0)
-    compression_norm = max((op_norm(series_to_op(f, n, N)) for c in cands for f in (c.b, c.c)),
-                           default=0.0)
+    compression_norm = max((c.compression_norm for c in cands), default=0.0)
     splits = sorted({f"{cand.split[0]}|{cand.split[1]}" for cand in near})
 
     K = 24

@@ -335,6 +335,14 @@ def test_search_small_word():
         assert op_norm(series_to_op(c.c, 2, 5)) <= 1 + 1e-12
 
 
+@pytest.mark.parametrize("w, restarts, seed", [(word(1, 2), 8, 7), (word(1, 2, 1), 6, 3)])
+def test_search_compression_norm_is_the_factors_op_norm(w, restarts, seed):
+    # the search's own sigma plan gives the same floats as a plan per factor
+    n, N = 2, 5
+    for c in search_ball_factorizations(w, 2, n, N, restarts=restarts, seed=seed):
+        assert c.compression_norm == max(op_norm(series_to_op(f, n, N)) for f in (c.b, c.c))
+
+
 def test_search_single_letter_irreducible():
     # the only unit-ball factorizations of a generator are scalar splits
     cands = search_ball_factorizations(word(2), 1, 2, 3, restarts=8, seed=3)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fockalg import calculus
 from fockalg import experiments as E
 from fockalg import operators
 from fockalg.calculus import FactorCandidate
@@ -61,8 +62,9 @@ def test_adjoint_decay_other_scalars(lam):
 
 
 def test_adjoint_decay_rejects_large_scalar():
-    with pytest.raises(ValueError):
-        E.exp_adjoint_decay(lam=1.0)
+    for lam in (1.0, math.nan, complex(0.2, math.nan)):
+        with pytest.raises(ValueError, match=r"^need \|lam\| < 1"):
+            E.exp_adjoint_decay(lam=lam)
 
 
 def test_codim_counts_level_dims():
@@ -170,8 +172,9 @@ def test_eigenvector_zero_case():
 
 
 def test_eigenvector_rejects_large():
-    with pytest.raises(ValueError):
-        E.exp_eigenvector(lam_tuple=(0.9, 0.9))
+    for lam in ((0.9, 0.9), (math.nan, 0.2)):
+        with pytest.raises(ValueError, match=r"^need \|\|lam\|\| < 1"):
+            E.exp_eigenvector(lam_tuple=lam)
 
 
 def test_eigenvector_independent_oracle():
@@ -235,7 +238,8 @@ def test_ball_search_feasibility_needs_an_upper_bound(monkeypatch):
     # while its compression norm at N=5 (0.990) stays below 1
     b = FreeSeries.make(2, {Word(): 0.52, word(1): 0.5})
     c = FreeSeries.delta(2, word(1, 2))
-    cand = FactorCandidate(b, c, 0.0, 0.0, (Word(), word(1, 2)), 1, 0)
+    norm = max(operators.op_norm(operators.series_to_op(f, 2, 5)) for f in (b, c))
+    cand = FactorCandidate(b, c, 0.0, norm, 0.0, (Word(), word(1, 2)), 1, 0)
     monkeypatch.setattr(E, "search_ball_factorizations", lambda *args, **kwargs: [cand])
     rep = E.exp_ball_search()
     m = rep.measurements
@@ -243,6 +247,21 @@ def test_ball_search_feasibility_needs_an_upper_bound(monkeypatch):
     assert m["max_factor_compression_norm"] <= 1 + 1e-12  # 0.990 for b, 1 for c
     assert m["max_near_factor_symbol_bound"] == pytest.approx(1.02)
     assert not rep.verdict
+
+
+def test_ball_search_measures_its_factors_with_the_search_plan(monkeypatch):
+    # one sigma plan for the search, one per final residual and one for the
+    # witness; the factors' compression norms need no plan of their own
+    calls = []
+    sigma = operators.level_split_sigma
+
+    def counted(*args):
+        calls.append(args)
+        return sigma(*args)
+    monkeypatch.setattr(operators, "level_split_sigma", counted)
+    monkeypatch.setattr(calculus, "level_split_sigma", counted)
+    E.exp_ball_search(restarts=4)
+    assert len(calls) == 4 + 2
 
 
 def test_experiment_determinism():
@@ -330,6 +349,12 @@ def test_cli_usage_and_input_errors_exit_2(argv, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "error" in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_refuses_nan_lam(capsys):
+    assert main(["adjoint-decay", "--lam", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "need |lam| < 1" in err
 
 
 def test_cli_tol_is_checked(capsys):

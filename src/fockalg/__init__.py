@@ -2,7 +2,7 @@
 word combinatorics, sparse Fock vectors, symbol/matrix operator compressions,
 a scalar series engine, functional calculus, and reproducible experiments."""
 
-from .words import BasisCapExceeded, BasisIndexer, Word, concat, enumerate_words, reverse, strip_prefix, strip_suffix, word
+from .words import BasisCapExceeded, BasisIndexer, Word, concat, enumerate_words, reverse, word
 from .fock import FockVector, FreeSeries, inner
 from .operators import (
     TruncOp,

@@ -147,7 +147,8 @@ def verify_factorization(g: ScalarSeries, X: TruncOp, A: TruncOp, target: TruncO
 @dataclass
 class FactorCandidate:
     """One local minimizer of || B C - L_w || with both factors in the ball;
-    compression_norm is the larger factor's, from the search's own sigma plan."""
+    compression_norm is the larger factor's, measured on the reported factors
+    with the search's own sigma plan."""
 
     b: FreeSeries
     c: FreeSeries
@@ -209,11 +210,6 @@ class _BallProblem:
         self.wtarget = np.zeros(products.size, dtype=complex)
         self.wtarget[products.index_of(w)] = root_m[len(w)]
 
-    def project(self, vec: np.ndarray) -> np.ndarray:
-        """Spectral scaling onto the unit ball: divide by sigma_max when > 1."""
-        sigma = self.sigma(vec)
-        return vec / sigma if sigma > 1.0 else vec
-
     def residual(self, b: np.ndarray, c: np.ndarray) -> float:
         """||P_N (B C - L_w) P_N||_F, from the coefficients alone."""
         return float(np.linalg.norm(self.kernel @ c @ b - self.wtarget))
@@ -232,17 +228,20 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
     each half-step is a linear least-squares problem in one factor's
     coefficients with one row per product word, weighted by sqrt(m_|t|).  The
     convergence test reads that residual.  Every sigma_max, in the sweeps, the
-    projections and the final residual (factorization_residual), is exact from
-    the level split (operators.level_split_sigma).  When the updated factor is
-    projected (divided by its sigma_max), the discarded scale is carried into
-    the other factor; the product is invariant under (tB, C/t), so the carry
-    keeps the objective monotone where a bare projection stalls.  After 20
-    sweeps a run stops as soon as the last 10 sweeps fail to halve the
+    final measurement and the final residual (factorization_residual), is exact
+    from the level split (operators.level_split_sigma).  When the updated
+    factor is projected (divided by its sigma_max), the discarded scale is
+    carried into the other factor (into c by the solve that follows); the
+    product is invariant under (tB, C/t), so the carry keeps the objective
+    monotone where a bare projection stalls.  After 20 sweeps a run stops as
+    soon as the last 10 sweeps fail to halve the
     residual: a converging run halves it well within 10 sweeps, while runs
     that end far from L_w sit in a swamp where it decays like 1/k, and
     (k - W)/k >= 1/2 for a window of W sweeps once k >= 2W, so W = 10 cuts
-    them at the first check, at sweep 21.  Both factors are projected once
-    more at the end, so every reported candidate is feasible.  Restarts use
+    them at the first check, at sweep 21.  The last sweep's sigma fix both
+    factors' by homogeneity, so the final gauge balance and projection into the
+    ball are one scalar each, and the restart's two sigma after its sweeps
+    measure the reported factors for compression_norm.  Restarts use
     independently derived seeds, making the output deterministic for a given
     (seed, restarts) regardless of scheduling.
     """
@@ -259,14 +258,15 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
         # b's start is never read (the first sweep solves for b); drawing it keeps c's the same
         bvec = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2 * m)
         cvec = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2 * m)
-        cvec = problem.project(cvec)
+        sc = problem.sigma(cvec)
+        if sc > 1.0:
+            cvec = cvec / sc
         history: list[float] = []  # one residual per sweep
         for it in range(max_iter):
             bvec = np.linalg.lstsq(problem.kernel @ cvec, problem.wtarget, rcond=None)[0]
             sb = problem.sigma(bvec)
             if sb > 1.0:
                 bvec /= sb
-                cvec *= sb
             cvec = np.linalg.lstsq(bvec @ problem.kernel, problem.wtarget, rcond=None)[0]
             sc = problem.sigma(cvec)
             if sc > 1.0:
@@ -280,13 +280,14 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
             # swamp decaying like 1/k does not, as (k - 10)/k >= 1/2 for k >= 20
             if it >= 20 and res > 0.5 * history[-10]:
                 break
-        # rebalance the (tB, C/t) gauge before the final feasibility projection
-        # so the projection is as close to lossless as the product allows
-        sb, sc = problem.sigma(bvec), problem.sigma(cvec)
+        # sigma is homogeneous: b's is min(sb, 1) max(sc, 1) and c's min(sc, 1).
+        # The (tB, C/t) gauge gives both s = sqrt(sigma_b sigma_c), so dividing by
+        # max(1, s) projects them as losslessly as the product allows.  With a
+        # zero factor, both are already in the ball.
         if sb > 0 and sc > 0:
-            t = math.sqrt(sb / sc)
-            bvec, cvec = bvec / t, cvec * t
-        bvec, cvec = problem.project(bvec), problem.project(cvec)
+            sigma_b, sigma_c = min(sb, 1.0) * max(sc, 1.0), min(sc, 1.0)
+            t, s = math.sqrt(sigma_b / sigma_c), max(1.0, math.sqrt(sigma_b * sigma_c))
+            bvec, cvec = bvec / (t * s), cvec * (t / s)
         norm = max(problem.sigma(bvec), problem.sigma(cvec))
         bser = FreeSeries.make(n, dict(zip(basis, bvec)))
         cser = FreeSeries.make(n, dict(zip(basis, cvec)))

@@ -303,12 +303,8 @@ def exp_ideal_counterexample(a: FreeSeries | None = None, n: int = 2, N: int = 1
     if N < len(v) + 1:
         raise ValueError(f"need N >= |v| + 1 = {len(v) + 1} to check the identity on a vector")
     lam = [IDEAL_SCALE / (k + 1) for k in range(N + 1)]
-    jcoeffs: dict[bytes, complex] = {}
-    for w, aw in a.coeffs.items():
-        for k in range(N - len(w)):
-            t = w + Word((2,) + (1,) * k)
-            jcoeffs[t] = jcoeffs.get(t, 0.0) + aw * lam[k]
-    J = series_to_op(FreeSeries.make(n, jcoeffs), n, N)
+    tail = FreeSeries.make(n, {Word((2,) + (1,) * k): lam[k] for k in range(N)})
+    J = series_to_op(FreeSeries.make(n, a.coeffs).mul(tail, max_degree=N), n, N)
     Lv = creation_op(LEFT, v, n, N)
     L2 = creation_op(LEFT, Z2, n, N)
 

@@ -49,12 +49,6 @@ class ScalarSeries:
         """Largest k with c_k != 0 (0 for the zero series)."""
         return max((k for k, c in enumerate(self.coeffs) if c != 0), default=0)
 
-    def evaluate(self, z: complex) -> complex:
-        val = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            val = val * z + c
-        return val
-
 
 def harmonic_series(K: int) -> ScalarSeries:
     """c_k = 1/(k+1) for k = 0..K."""
@@ -69,6 +63,8 @@ def reciprocal(s: ScalarSeries, K: int | None = None) -> ScalarSeries:
     Triangular recursion g_0 = 1/c_0, g_k = -(1/c_0) sum_{j=1..k} c_j g_{k-j}.
     """
     order = s.order if K is None else K
+    if order < 0:
+        raise ValueError("need K >= 0")
     c0 = s.coeff(0)
     if abs(c0) <= 1e-12:
         raise ValueError(f"constant term {c0} too close to 0 to invert")
@@ -119,8 +115,8 @@ def circle_grid(grid: int, guard: float = GUARD_BAND) -> np.ndarray:
 
 def partial_sum_sup(s: ScalarSeries, m: int, grid: int) -> float:
     """max over grid points e^{i theta} of |sum_{k<=m} c_k e^{i k theta}|."""
-    if m > s.order:
-        raise ValueError(f"m = {m} exceeds stored order {s.order}")
+    if not 0 <= m <= s.order:
+        raise ValueError(f"need 0 <= m <= stored order {s.order}, got m = {m}")
     _check_grid(grid)
     theta = np.arange(grid) * (2.0 * math.pi / grid)
     z = np.exp(1j * theta)

@@ -18,7 +18,7 @@ import itertools
 import operator
 import os
 from functools import partial
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 MAX_LETTER = 255  # one letter per byte
 DEFAULT_BASIS_CAP = 10**6
@@ -99,18 +99,6 @@ def concat(u: Word, v: Word) -> Word:
 
 def reverse(w: Word) -> Word:
     return _derived(_checked(w)[::-1])
-
-
-def strip_suffix(w: Word, u: Word) -> Optional[Word]:
-    """Return t with w = tu, or None when u is not a suffix of w."""
-    w, u = _checked(w), _checked(u)
-    return _derived(w[:len(w) - len(u)]) if w.endswith(u) else None
-
-
-def strip_prefix(w: Word, u: Word) -> Optional[Word]:
-    """Return t with w = ut, or None when u is not a prefix of w."""
-    w, u = _checked(w), _checked(u)
-    return _derived(w[len(u):]) if w.startswith(u) else None
 
 
 def enumerate_words(n: int, k: int) -> list[Word]:

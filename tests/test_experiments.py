@@ -258,10 +258,35 @@ def test_ball_search_measures_its_factors_with_the_search_plan(monkeypatch):
     def counted(*args):
         calls.append(args)
         return sigma(*args)
+    # the search's own sigma: one for c's start, two per sweep and the two
+    # that measure the reported factors; the gauge and projection take none
+    search_sigma = []
+
+    def counted_search_plan(*args):
+        plan = counted(*args)
+
+        def measured(vec):
+            search_sigma.append(vec)
+            return plan(vec)
+        return measured
+    cands = []
+    search = E.search_ball_factorizations
+
+    def recorded(*args, **kwargs):
+        out = search(*args, **kwargs)
+        cands.extend(out)
+        return out
     monkeypatch.setattr(operators, "level_split_sigma", counted)
-    monkeypatch.setattr(calculus, "level_split_sigma", counted)
+    monkeypatch.setattr(calculus, "level_split_sigma", counted_search_plan)
+    monkeypatch.setattr(E, "search_ball_factorizations", recorded)
     E.exp_ball_search(restarts=4)
     assert len(calls) == 4 + 2
+    assert len(cands) == 4
+    assert len(search_sigma) == 2 * sum(c.iterations for c in cands) + 3 * 4
+    # the balanced gauge leaves both factors with the same sigma
+    for c in cands:
+        sb, sc = (operators.op_norm(operators.series_to_op(f, 2, 5)) for f in (c.b, c.c))
+        assert sb == pytest.approx(sc, rel=1e-12, abs=0)
 
 
 def test_experiment_determinism():

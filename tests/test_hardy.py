@@ -59,6 +59,11 @@ def test_reciprocal_requires_unit():
         reciprocal(ScalarSeries.make([0.0, 1.0]))
 
 
+def test_reciprocal_refuses_negative_order():
+    with pytest.raises(ValueError, match=r"^need K >= 0$"):
+        reciprocal(harmonic_series(4), K=-1)
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     coeffs=st.lists(
@@ -85,7 +90,9 @@ def test_boundary_modulus_at_pi():
 
 def test_boundary_modulus_quarter_turn():
     theta = math.pi / 2
-    series_val = abs(harmonic_series(40000).evaluate(0.999 * cmath.exp(1j * theta)))
+    # np.polyval wants the highest-degree coefficient first
+    coeffs = harmonic_series(40000).coeffs[::-1]
+    series_val = abs(np.polyval(coeffs, 0.999 * cmath.exp(1j * theta)))
     assert abs(boundary_modulus(theta) - series_val) <= 1e-2
 
 
@@ -143,6 +150,12 @@ def test_partial_sum_sup_validation():
         partial_sum_sup(s, 9, 64)
     with pytest.raises(ValueError):
         partial_sum_sup(s, 2, 4)
+
+
+def test_partial_sum_sup_refuses_negative_m():
+    # a negative m would otherwise index the coefficients from the end
+    with pytest.raises(ValueError, match=r"got m = -1"):
+        partial_sum_sup(harmonic_series(4), -1, 64)
 
 
 def test_grids_are_capped(monkeypatch):

@@ -14,8 +14,6 @@ from fockalg.words import (
     concat,
     enumerate_words,
     reverse,
-    strip_prefix,
-    strip_suffix,
     word,
 )
 
@@ -39,19 +37,6 @@ def test_reverse_examples():
     assert reverse(word(1, 1, 2)) == word(2, 1, 1)
 
 
-def test_strip_suffix_examples():
-    assert strip_suffix(word(1, 2), word(2)) == word(1)
-    assert strip_suffix(word(1, 2), word(1)) is None
-    w = word(2, 1, 1)
-    assert strip_suffix(w, Word()) == w
-
-
-def test_strip_prefix_examples():
-    assert strip_prefix(word(1, 2), word(1)) == word(2)
-    assert strip_prefix(word(1, 2), word(2)) is None
-    assert strip_prefix(word(1, 2), word(1, 2)) == Word()
-
-
 @given(u=letters, v=letters)
 def test_concat_length_additive(u, v):
     assert len(concat(u, v)) == len(u) + len(v)
@@ -60,16 +45,6 @@ def test_concat_length_additive(u, v):
 @given(w=letters)
 def test_reverse_involution(w):
     assert reverse(reverse(w)) == w
-
-
-@given(t=letters, u=letters)
-def test_strip_suffix_of_concat(t, u):
-    assert strip_suffix(concat(t, u), u) == t
-
-
-@given(t=letters, u=letters)
-def test_strip_prefix_of_concat(t, u):
-    assert strip_prefix(concat(u, t), u) == t
 
 
 def test_enumerate_counts_and_order():
@@ -163,7 +138,7 @@ def test_word_algebra_returns_words(u, v, seed):
     rng = np.random.default_rng(seed)
     n, N = 3, 6
     uv = concat(u, v)
-    produced = [uv, strip_prefix(uv, u), strip_suffix(uv, v), reverse(uv)]
+    produced = [uv, reverse(uv)]
     produced += enumerate_words(n, len(u) % 4)
     produced += [BasisIndexer(n, N).word_at(i) for i in range(0, 1093, 37)]
     s, t = random_series(rng, n, 3, 5), random_series(rng, n, 3, 5)
@@ -201,17 +176,12 @@ def test_word_algebra_checks_plain_tuples():
     """Only Words skip the check: plain tuples and plain bytes with a bad letter
     still raise."""
     for act in [lambda: concat((1, 0), word(1)), lambda: concat(word(1), (True,)),
-                lambda: strip_prefix((1, 0), (1,)), lambda: strip_prefix((1, 0), word(1)),
-                lambda: strip_suffix((0, 1), word(1)), lambda: strip_suffix((0, 1), ()),
                 lambda: reverse((2, -1)), lambda: concat(word(1), (256,)),
-                lambda: concat(b"\x01\x00", word(1)), lambda: strip_prefix(b"\x00\x01", b""),
-                lambda: strip_suffix(word(1), b"\x00"), lambda: reverse(b"\x02\x00")]:
+                lambda: concat(b"\x01\x00", word(1)), lambda: reverse(b"\x02\x00")]:
         with pytest.raises(ValueError):
             act()
     # good plain tuples and bytes come back as Words
-    for w in [concat((1,), (2,)), strip_prefix((1, 2), ()), strip_suffix((1, 2), word(2)),
-              reverse((1, 2)), concat(b"\x01", (2,)), strip_prefix(b"\x01\x02", b"\x01"),
-              strip_suffix(b"\x01\x02", word(2)), reverse(b"\x01\x02")]:
+    for w in [concat((1,), (2,)), reverse((1, 2)), concat(b"\x01", (2,)), reverse(b"\x01\x02")]:
         assert type(w) is Word
 
 

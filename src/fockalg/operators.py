@@ -130,10 +130,11 @@ class TruncOp:
                        frontier=self.frontier)
 
 
-def _compression(words: list[Word], side: str, n: int, N: int):
-    """vals -> compression of sum_i vals[i] S_{words[i]} (S = L or R) on F^2_N,
-    dense up to DENSE_CAP and CSR beyond: the word -> position arithmetic runs
-    once, and each call is one scatter (the P_N S_w P_N are disjoint 0/1 masks)."""
+def _positions(words: list[Word], side: str, n: int, N: int):
+    """(size, owner, rows, cols): the compression of sum_i vals[i] S_{words[i]}
+    (S = L or R) on F^2_N, a size x size matrix, holds vals[owner] at (rows,
+    cols).  Each word owns one entry per column 0, 1, ... of levels <= N - |w|,
+    in turn, so the rows of a single word are its shift's index array."""
     idx = BasisIndexer(n, N)
     size = idx.size
     off = np.array([idx.level_offset(k) for k in range(N + 2)])
@@ -148,6 +149,14 @@ def _compression(words: list[Word], side: str, n: int, N: int):
     cols = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
     k, rk, d, rank = level[cols], r[cols], d[owner], rank[owner]
     rows = off[k + d] + (rank * n**k + rk if side == LEFT else rk * n**d + rank)
+    return size, owner, rows, cols
+
+
+def _compression(words: list[Word], side: str, n: int, N: int):
+    """vals -> compression of sum_i vals[i] S_{words[i]} (S = L or R) on F^2_N,
+    dense up to DENSE_CAP and CSR beyond: the word -> position arithmetic runs
+    once, and each call is one scatter (the P_N S_w P_N are disjoint 0/1 masks)."""
+    size, owner, rows, cols = _positions(words, side, n, N)
 
     def write_out(vals: np.ndarray):
         if size > DENSE_CAP:
@@ -274,24 +283,39 @@ def gram(a: FreeSeries, b: FreeSeries, side: str) -> dict[tuple[bytes, bool], co
 
 def _spectral_norm(m) -> float:
     # Norms with no symbol to split (matrix-backed operators, X R - R X) and of
-    # symbol compressions over DENSE_CAP.  All-zero rows and columns carry no
-    # singular value, so both arms measure the block left once they are dropped.
-    # The arm follows the basis size: a full SVD up to DENSE_CAP, ARPACK beyond.
-    if sp.issparse(m) and m.shape[0] > DENSE_CAP:
-        m = m.tocsr()
-        if not m.data.any():
-            return 0.0
-        # built on m's data: slicing rows, then columns, would copy it twice
-        rows = np.flatnonzero(np.diff(m.indptr))
-        cols, indices = np.unique(m.indices, return_inverse=True)
-        m = sp.csr_matrix((m.data, indices, np.append(0, m.indptr[rows + 1])),
-                          shape=(rows.size, cols.size))
-        if min(m.shape) > 2:  # ARPACK needs k = 1 < min(shape) - 1
-            return _arpack_norm(m)
-    if sp.issparse(m):
-        m = m.toarray()
-    m = m[np.ix_(m.any(axis=1), m.any(axis=0))]
-    return float(np.linalg.norm(m, 2)) if m.size else 0.0
+    # symbol compressions over DENSE_CAP.  A column whose rows hold no other
+    # entry is a block of m up to permutation, and so is a row whose columns
+    # hold no other entry: its singular value is its 2-norm, so it is measured
+    # as a vector.  Only the rest, without its empty rows and columns, reaches
+    # an arm, and the arm follows the basis size: a full SVD up to DENSE_CAP,
+    # ARPACK beyond.
+    coo = sp.coo_matrix(m)
+    keep = coo.data != 0
+    r, c, v = coo.row[keep], coo.col[keep], coo.data[keep]
+    # entry counts of rows and columns, read at each entry (stored duplicates
+    # count twice, so they stay in the rest, where the arms sum them)
+    alone_in_row = np.bincount(r, minlength=m.shape[0])[r] == 1
+    alone_in_col = np.bincount(c, minlength=m.shape[1])[c] == 1
+    in_lone_col = (np.bincount(c, ~alone_in_row, m.shape[1]) == 0)[c]
+    in_lone_row = (np.bincount(r, ~alone_in_col, m.shape[0]) == 0)[r]
+    sq = np.abs(v) ** 2
+    vectors = math.sqrt(max(np.bincount(c[in_lone_col], sq[in_lone_col]).max(initial=0.0),
+                            np.bincount(r[in_lone_row], sq[in_lone_row]).max(initial=0.0)))
+    rest = ~(in_lone_col | in_lone_row)
+    if not rest.any():
+        return vectors
+    r, c, v = r[rest], c[rest], v[rest]
+    rows = np.bincount(r, minlength=m.shape[0]) > 0
+    cols = np.bincount(c, minlength=m.shape[1]) > 0
+    if not sp.issparse(m):
+        block = m[np.ix_(rows, cols)]
+    else:
+        block = sp.csr_matrix((v, (np.cumsum(rows)[r] - 1, np.cumsum(cols)[c] - 1)),
+                              shape=(rows.sum(), cols.sum()))
+        if m.shape[0] > DENSE_CAP and min(block.shape) > 2:  # ARPACK needs k = 1 < min(shape) - 1
+            return max(vectors, _arpack_norm(block))
+        block = block.toarray()
+    return max(vectors, float(np.linalg.norm(block, 2)))
 
 
 def _arpack_norm(m: sp.csr_matrix) -> float:
@@ -334,7 +358,9 @@ def op_norm(X: TruncOp) -> float:
     """Largest singular value of the compression (a lower bound for the norm
     of the untruncated operator, labelled 'compression norm' in reports), taken
     once per operator: by level_split_sigma from the symbol up to DENSE_CAP,
-    without writing out the matrix; else by _spectral_norm of the matrix."""
+    without writing out the matrix; else by _spectral_norm of the matrix,
+    which measures its isolated rows and columns as vectors and hands only
+    the rest to the full SVD or ARPACK."""
     if X._norm is None:
         if X._symbol is None or BasisIndexer(X.n, X.N).size > DENSE_CAP:
             X._norm = _spectral_norm(X.matrix)
@@ -385,18 +411,23 @@ def numerical_rank(m: np.ndarray, tol: float = 1e-9) -> int:
 def commutant_residual(X: TruncOp) -> float:
     """max_i of the spectral norm of (X R_i - R_i X) restricted to input
     levels <= frontier - 1; vanishes exactly when X is the compression of a
-    left-symbol operator, within the exact region.  R_i is a 0/1 shift with at
-    most one entry per column, kept sparse at every size: X R_i gathers columns
-    and R_i X scatters rows, each entry one product with 1.0, so D holds the
-    same floats as the dense products would."""
+    left-symbol operator, within the exact region.  R_i is a 0/1 shift that
+    sends basis column j to row shift[j] (columns of level N overflow), so no
+    R_i is written out: X R_i gathers the columns shift of X and R_i X scatters
+    X's rows to shift, each entry the one the product with 1.0 would give."""
     if X.frontier < 1:
         return 0.0
     cols = BasisIndexer(X.n, X.N).level_offset(X.frontier)
-    worst = 0.0
+    M, worst = X.matrix, 0.0
     for i in range(1, X.n + 1):
-        R = sp.csr_matrix(creation_op(RIGHT, Word((i,)), X.n, X.N).matrix)
+        shift = _positions([Word((i,))], RIGHT, X.n, X.N)[2]
         # only the first cols columns of D are measured
-        D = X.matrix @ R[:, :cols] - R @ X.matrix[:, :cols]
+        D = M[:, shift[:cols]]
+        if sp.issparse(M):
+            top = M[:shift.size, :cols].tocoo()
+            D = D - sp.csr_matrix((top.data, (shift[top.row], top.col)), shape=D.shape)
+        else:
+            D[shift] -= M[:shift.size, :cols]
         worst = max(worst, _spectral_norm(D))
     return worst
 

@@ -564,6 +564,46 @@ def _assert_sparse_norm(rng, block):
     assert zeros.nnz == block.size and operators._spectral_norm(zeros) == 0.0
 
 
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), columns=st.integers(0, 5), rows=st.integers(0, 5),
+       singles=st.integers(0, 5), coupled=st.sampled_from([None, (2, 2), (3, 7), (30, 24)]))
+def test_spectral_norm_splits_off_isolated_rows_and_columns(seed, columns, rows, singles, coupled):
+    """Column vectors, row vectors, 1x1 entries and one block with about a
+    third of its entries zeroed (so that a row or column of it may or may not
+    split off), scattered by random permutations; the norm is the largest of
+    the blocks' own."""
+    rng = np.random.default_rng(seed)
+    blocks = [_complex(rng, (int(rng.integers(2, 6)), 1)) for _ in range(columns)]
+    blocks += [_complex(rng, (1, int(rng.integers(2, 6)))) for _ in range(rows)]
+    blocks += [_complex(rng, (1, 1)) for _ in range(singles)]
+    if coupled:
+        blocks.append(_complex(rng, coupled) * (rng.random(coupled) > 0.35))
+    want = max((np.linalg.norm(b, 2) for b in blocks), default=0.0)
+    whole = sp.block_diag(blocks, format="coo") if blocks else sp.coo_matrix((0, 0))
+    for size in (8191, sum(whole.shape) + 3):  # the sparse arm over DENSE_CAP, the dense one
+        r = rng.choice(size, whole.shape[0], replace=False)
+        c = rng.choice(size, whole.shape[1], replace=False)
+        m = sp.csr_matrix((whole.data, (r[whole.row], c[whole.col])), shape=(size, size))
+        got = operators._spectral_norm(m if size > operators.DENSE_CAP else m.toarray())
+        assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_homogeneous_norm_over_cap_needs_no_svds(monkeypatch, rng, side):
+    # every row of a homogeneous compression holds one entry, so each column
+    # is a block of its own with the coefficients' l2 norm
+    monkeypatch.setattr(operators.spla, "svds", _broken_call)
+    s = FreeSeries.make(2, {w: complex(*rng.standard_normal(2))
+                            for w in enumerate_words(2, 3)[::3]})
+    X = series_to_op(s, 2, 13, side)  # basis 16383
+    assert sp.issparse(X.matrix)
+    assert abs(op_norm(X) - s.l2_norm()) <= 1e-12 * s.l2_norm()
+
+
 # -- commutant ----------------------------------------------------------------
 
 
@@ -928,26 +968,40 @@ def _broken_call(*args, **kwargs):
     raise TypeError("bad svds call")
 
 
-def test_spectral_norm_fallback_on_arpack_failure(monkeypatch):
+def _hadamard_pairs(rng, size=8191, pairs=1023):
+    """Unitary 2x2 blocks [[1, 1], [1, -1]] / sqrt(2) at distinct random rows
+    and columns of a size-square CSR: each nonempty row and column holds two
+    entries, so nothing splits off as a vector, and the norm is 1."""
+    r = rng.choice(size, 2 * pairs, replace=False).reshape(pairs, 2)
+    c = rng.choice(size, 2 * pairs, replace=False).reshape(pairs, 2)
+    vals = np.tile([1.0, 1.0, 1.0, -1.0], pairs) / math.sqrt(2)
+    return sp.csr_matrix((vals, (np.repeat(r, 2, axis=1).ravel(), np.tile(c, 2).ravel())),
+                         shape=(size, size), dtype=complex)
+
+
+def test_spectral_norm_fallback_on_arpack_failure(monkeypatch, rng):
     shapes = []
     monkeypatch.setattr(operators.spla, "svds",
                         lambda m, **kwargs: shapes.append(m.shape) or _no_convergence())
-    L = creation_op("left", word(1, 2), 2, 12)  # basis 8191: sparse arm
+    # L_{12} sends distinct words to distinct words: each of its columns is a
+    # block of its own, measured as a vector, and ARPACK never runs
+    assert op_norm(creation_op("left", word(1, 2), 2, 12)) == 1.0 and shapes == []
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # converges at once: no warning
-        assert abs(op_norm(L) - 1.0) <= 1e-9
-    # ARPACK and the fallback see the nonzero block: L_{12} sends the 2047
-    # basis words of levels 0 to 10 to distinct words, and those of levels
-    # 11 and 12 past N = 12
-    assert shapes == [(2047, 2047)]
-    # singular values crowding up to 1 keep the estimate creeping past the cap
-    crowded = op_from_matrix(sp.diags(np.linspace(0.5, 1.0, 8191)).tocsr().astype(complex), 2, 12)
+        warnings.simplefilter("error")  # m^H m = I: converges at once, no warning
+        assert abs(op_norm(op_from_matrix(_hadamard_pairs(rng), 2, 12)) - 1.0) <= 1e-9
+    # ARPACK and the fallback see the block without its empty rows and columns
+    assert shapes == [(2046, 2046)]
+    # singular values crowding up to 1 keep the estimate creeping past the cap;
+    # the coupling of each diagonal entry to the next keeps every row and column
+    # in one block, and lifts the norm by at most 1e-3
+    size = 8191
+    crowded = sp.diags(np.linspace(0.5, 1.0, size)) + sp.diags(np.full(size - 1, 1e-3), 1)
     with pytest.warns(RuntimeWarning, match="did not converge"):
-        est = op_norm(crowded)
-    assert 0.99 <= est <= 1.0
+        est = op_norm(op_from_matrix(crowded.tocsr().astype(complex), 2, 12))
+    assert shapes[-1] == (size, size) and 0.99 <= est <= 1.0 + 1e-3
     monkeypatch.setattr(operators.spla, "svds", _broken_call)
     with pytest.raises(TypeError):
-        op_norm(creation_op("left", word(1, 2), 2, 12))
+        op_norm(op_from_matrix(_hadamard_pairs(rng), 2, 12))
 
 
 def _assert_op_norm_is_full_svd(s, n, N, side):

@@ -222,6 +222,8 @@ def exp_thin_isometry(n: int = 2, kmax: int = 2, N: int | None = None,
     x_k = sum_{|w|=k} xi_{w w z2 z1^k}; suffix-stripping by u z2 z1^k recovers
     xi_u exactly, and the recovered family spans every level <= kmax."""
     tol = tolerance(tol)
+    if kmax < 0:
+        raise ValueError(f"need kmax >= 0, got {kmax}")
     if n < 2:
         raise ValueError("construction uses two letters; need n >= 2")
     if N is None:

@@ -34,7 +34,9 @@ def _check_words(n: int, N: Optional[int], coeffs: dict[Word, complex]) -> None:
     """n >= 1 and N >= 0 (or None), then Word or plain bytes keys, lengths <= N,
     letters in 1..n (a plain key may hold a zero byte) and no zero coefficient,
     each checked as one pass over the whole map."""
-    if n < 1 or (N is not None and N < 0):
+    if N is None and n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
+    if N is not None and (n < 1 or N < 0):
         raise ValueError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
     if not set(map(type, coeffs)) <= {Word, bytes}:
         bad = next(w for w in coeffs if type(w) not in (Word, bytes))

@@ -156,8 +156,11 @@ def _compression(words: list[Word], side: str, n: int, N: int):
     """vals -> compression of sum_i vals[i] S_{words[i]} (S = L or R) on F^2_N,
     dense up to DENSE_CAP and CSR beyond: the word -> position arithmetic runs
     once, and each call is one scatter (the P_N S_w P_N are disjoint 0/1 masks)."""
-    size, owner, rows, cols = _positions(words, side, n, N)
+    return _write_out(*_positions(words, side, n, N))
 
+
+def _write_out(size: int, owner: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """vals -> the size x size matrix holding vals[owner] at (rows, cols)."""
     def write_out(vals: np.ndarray):
         if size > DENSE_CAP:
             return sp.csr_matrix((vals[owner], (rows, cols)), shape=(size, size), dtype=complex)
@@ -167,17 +170,50 @@ def _compression(words: list[Word], side: str, n: int, N: int):
     return write_out
 
 
+def _isolated(r: np.ndarray, c: np.ndarray, shape: tuple[int, int]):
+    """(lone, vectors) for the entries at (r, c) of a matrix of this shape: a
+    column whose rows hold no other entry, or a row whose columns hold none,
+    is a block of the matrix up to permutation, its 2-norm its one singular
+    value; lone marks the entries of such columns and rows, and vectors(sq),
+    from the entries' squared moduli, is their largest 2-norm.  Only positions
+    count, so zero values merge no blocks, and an entry stored twice is never lone."""
+    alone_in_row = np.bincount(r, minlength=shape[0])[r] == 1
+    alone_in_col = np.bincount(c, minlength=shape[1])[c] == 1
+    in_col = (np.bincount(c, ~alone_in_row, shape[1]) == 0)[c]
+    in_row = (np.bincount(r, ~alone_in_col, shape[0]) == 0)[r]
+    col_of, row_of = c[in_col], r[in_row]
+
+    def vectors(sq: np.ndarray) -> float:
+        return math.sqrt(max(np.bincount(col_of, sq[in_col]).max(initial=0.0),
+                             np.bincount(row_of, sq[in_row]).max(initial=0.0)))
+    return in_col | in_row, vectors
+
+
 def level_split_sigma(words: list[Word], side: str, n: int, N: int):
     """vals -> sigma_max of the compression of sum_i vals[i] S_{words[i]} on F^2_N
-    (words of length <= N, basis <= DENSE_CAP), exactly from the one on F^2_{N-1}.
-    Split by last letter for L (first for R), F^2_N = C xi_0 + sum_i F^2_{N-1} z_i
-    and the compression is [[a_0, 0], [c, I_n (x) M]], M the one on F^2_{N-1},
+    (distinct words of length <= N), planned once from the positions.
+
+    When every entry lies in an isolated column or row (_isolated: each L_w or
+    R_w, homogeneous symbols, prefix-free supports for L and suffix-free ones
+    for R), sigma_max is the largest column or row 2-norm, and nothing is
+    written out.  Otherwise a basis over DENSE_CAP goes to _spectral_norm of
+    the CSR, and a smaller one to the level split, exact from the compression
+    on F^2_{N-1}, the leading block of the one on F^2_N.  Split by last letter
+    for L (first for R), F^2_N = C xi_0 + sum_i F^2_{N-1} z_i and the
+    compression is [[a_0, 0], [c, I_n (x) M]], M the one on F^2_{N-1},
     c_i[u] = a_{ui} (a_{iu} for R).  With M^H M = V diag(g) V^H, sigma_max^2 is the
     top eigenvalue of [[sum |a_w|^2, sqrt(w)^T], [sqrt(w), diag(g)]], w_j the sum
     over i of |(c_i^H M V)_j|^2; M's all-zero columns add only uncoupled zeros."""
-    if N == 0:  # the compression is [a_0]
-        return lambda vals: float(np.linalg.norm(vals))
-    lower, rest = _compression(words, side, n, N - 1), BasisIndexer(n, N - 1)
+    size, owner, rows, cols = _positions(words, side, n, N)
+    lone, vectors = _isolated(rows, cols, (size, size))
+    if lone.all():  # N = 0 always ends here: the compression is [a_0]
+        return lambda vals: vectors((np.abs(vals) ** 2)[owner])
+    if size > DENSE_CAP:
+        full = _write_out(size, owner, rows, cols)
+        return lambda vals: _spectral_norm(full(vals))
+    rest = BasisIndexer(n, N - 1)
+    below = rows < rest.size
+    lower = _write_out(rest.size, owner[below], rows[below], cols[below])
     nonempty = np.array([i for i, w in enumerate(words) if w], dtype=int)
     # c laid out by (split letter, rest) in an (n, dim) array
     splits = [(w[-1], w[:-1]) if side == LEFT else (w[0], w[1:]) for w in words if w]
@@ -282,26 +318,18 @@ def gram(a: FreeSeries, b: FreeSeries, side: str) -> dict[tuple[bytes, bool], co
 
 
 def _spectral_norm(m) -> float:
-    # Norms with no symbol to split (matrix-backed operators, X R - R X) and of
-    # symbol compressions over DENSE_CAP.  A column whose rows hold no other
-    # entry is a block of m up to permutation, and so is a row whose columns
-    # hold no other entry: its singular value is its 2-norm, so it is measured
-    # as a vector.  Only the rest, without its empty rows and columns, reaches
-    # an arm, and the arm follows the basis size: a full SVD up to DENSE_CAP,
+    # Norms with no symbol to split (matrix-backed operators, X R - R X) and
+    # symbol compressions over DENSE_CAP that do not split whole.  The
+    # isolated columns and rows of m (_isolated) are measured as vectors; only
+    # the rest (stored duplicates among it, which the arms sum), without its
+    # empty rows and columns, reaches an arm: a full SVD up to DENSE_CAP,
     # ARPACK beyond.
     coo = sp.coo_matrix(m)
     keep = coo.data != 0
     r, c, v = coo.row[keep], coo.col[keep], coo.data[keep]
-    # entry counts of rows and columns, read at each entry (stored duplicates
-    # count twice, so they stay in the rest, where the arms sum them)
-    alone_in_row = np.bincount(r, minlength=m.shape[0])[r] == 1
-    alone_in_col = np.bincount(c, minlength=m.shape[1])[c] == 1
-    in_lone_col = (np.bincount(c, ~alone_in_row, m.shape[1]) == 0)[c]
-    in_lone_row = (np.bincount(r, ~alone_in_col, m.shape[0]) == 0)[r]
-    sq = np.abs(v) ** 2
-    vectors = math.sqrt(max(np.bincount(c[in_lone_col], sq[in_lone_col]).max(initial=0.0),
-                            np.bincount(r[in_lone_row], sq[in_lone_row]).max(initial=0.0)))
-    rest = ~(in_lone_col | in_lone_row)
+    lone, norm_of = _isolated(r, c, m.shape)
+    vectors = norm_of(np.abs(v) ** 2)
+    rest = ~lone
     if not rest.any():
         return vectors
     r, c, v = r[rest], c[rest], v[rest]
@@ -357,12 +385,12 @@ def symbol_norm_bound(s: FreeSeries) -> float:
 def op_norm(X: TruncOp) -> float:
     """Largest singular value of the compression (a lower bound for the norm
     of the untruncated operator, labelled 'compression norm' in reports), taken
-    once per operator: by level_split_sigma from the symbol up to DENSE_CAP,
-    without writing out the matrix; else by _spectral_norm of the matrix,
-    which measures its isolated rows and columns as vectors and hands only
-    the rest to the full SVD or ARPACK."""
+    once per operator: from the symbol by level_split_sigma at every size,
+    which writes nothing out when the compression falls apart into isolated
+    columns and rows, and else takes the level split up to DENSE_CAP and
+    _spectral_norm beyond; a matrix-backed X by _spectral_norm of its matrix."""
     if X._norm is None:
-        if X._symbol is None or BasisIndexer(X.n, X.N).size > DENSE_CAP:
+        if X._symbol is None:
             X._norm = _spectral_norm(X.matrix)
         else:
             s = X.symbol.truncate(X.N)

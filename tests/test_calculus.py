@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_series, random_vector
+from conftest import (
+    SPLIT_SUPPORTS,
+    SUPPORTS,
+    random_series,
+    random_support,
+    random_vector,
+    refuse_write_out,
+)
+from fockalg import operators
 from fockalg.calculus import (
     ISOMETRY_TOL,
     _BallProblem,
@@ -24,6 +32,7 @@ from fockalg.operators import (
     FreeSeries,
     _compression,
     creation_op,
+    level_split_sigma,
     op_from_matrix,
     op_norm,
     series_to_op,
@@ -488,17 +497,28 @@ def _assert_sigma_is_svd(problem, vec, n, N):
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.sampled_from([1, 2, 3]),
+    kind=st.sampled_from(("search",) + SUPPORTS),
+    side=st.sampled_from(["left", "right"]),
     degree=st.sampled_from([0, 1, 2]),
     extra=st.integers(0, 2),
     density=st.sampled_from([0.3, 1.0]),
 )
-def test_level_split_sigma_is_the_compression_norm(seed, n, degree, extra, density):
+def test_level_split_sigma_is_the_compression_norm(seed, n, kind, side, degree, extra, density):
+    # the search's basis (every word up to degree) and supports that split
+    # whole, in part or not at all; the plan reads only the positions, so
+    # zero values change nothing, and a split support writes nothing out
     N = 2 * degree + extra
-    problem = _BallProblem(Word(), degree, n, N)
     rng = np.random.default_rng(seed)
-    m = len(problem.basis)
+    words = list(BasisIndexer(n, degree).words()) if kind == "search" \
+        else random_support(rng, n, degree, kind, side)
+    m = len(words)
     vec = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * (rng.random(m) < density)
-    _assert_sigma_is_svd(problem, vec, n, N)
+    with pytest.MonkeyPatch.context() as patch:
+        if kind in SPLIT_SUPPORTS:
+            patch.setattr(operators, "_write_out", refuse_write_out)
+        got = level_split_sigma(words, side, n, N)(vec)
+    want = np.linalg.norm(_compression(words, side, n, N)(vec), 2)
+    assert abs(got - want) <= 1e-12 * want + 1e-300
 
 
 @pytest.mark.parametrize("n, degree, N", [(2, 0, 0), (1, 1, 2), (2, 2, 5), (3, 1, 3)])

@@ -382,6 +382,17 @@ def test_cli_refuses_nan_lam(capsys):
     assert len(err.splitlines()) == 1 and "need |lam| < 1" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # kmax is refused itself, not through the truncation N = 3*kmax + 1 made from it
+    (["thin-isometry", "--kmax", "-1"], "need kmax >= 0, got -1"),
+    # a series has no truncation, so the message names none
+    (["cesaro", "--n", "0"], "need n >= 1, got n=0"),
+], ids=["thin-isometry-kmax", "cesaro-n"])
+def test_cli_input_messages_name_the_flags_given(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"fockalg {argv[0]}: error: {message}\n"
+
+
 def test_cli_tol_is_checked(capsys):
     tol_flags = [name for name, flags in E.EXPERIMENTS.items() if "tol" in flags]
     assert len(tol_flags) == 6

@@ -74,10 +74,14 @@ def test_validation():
         FreeSeries(2, {Word(): 1.0, word(1): 1.0, word(2, 3): 1.0})
     with pytest.raises(ValueError, match=r"Word\(z1 z1\)"):
         FockVector(2, 1, {Word(): 1.0, word(1, 1): 1.0})
-    # the space is checked before the words, so no word is blamed for it
-    for act in (lambda: FockVector(2, -1, {}), lambda: FreeSeries(0, {}), lambda: FreeSeries.zero(0),
-                lambda: FreeSeries(0, {word(1): 1.0}), lambda: FockVector.make(0, 2, {word(1): 1.0})):
-        with pytest.raises(ValueError, match="need n >= 1 and N >= 0"):
+    # the space is checked before the words, so no word is blamed for it; a
+    # series has no truncation, so its message names none
+    vector, series = "need n >= 1 and N >= 0, got n={}, N={}$", "need n >= 1, got n=0$"
+    for act, message in ((lambda: FockVector(2, -1, {}), vector.format(2, -1)),
+                         (lambda: FreeSeries(0, {}), series), (lambda: FreeSeries.zero(0), series),
+                         (lambda: FreeSeries(0, {word(1): 1.0}), series),
+                         (lambda: FockVector.make(0, 2, {word(1): 1.0}), vector.format(0, 2))):
+        with pytest.raises(ValueError, match=message):
             act()
 
 

@@ -9,7 +9,14 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_series, random_vector
+from conftest import (
+    SPLIT_SUPPORTS,
+    SUPPORTS,
+    random_series,
+    random_support,
+    random_vector,
+    refuse_write_out,
+)
 from fockalg import operators
 from fockalg.calculus import apply_series, check_isometric_on_frontier, h2_times_isometry
 from fockalg.fock import FockVector
@@ -32,7 +39,7 @@ from fockalg.operators import (
     series_to_op,
     symbol_norm_bound,
 )
-from fockalg.words import BasisIndexer, Word, concat, enumerate_words, word
+from fockalg.words import BasisCapExceeded, BasisIndexer, Word, concat, enumerate_words, word
 
 
 def delta(n, w, c=1.0):
@@ -718,6 +725,13 @@ def test_orbit_warns_when_compression_norm_unchecked(monkeypatch):
     with pytest.warns(RuntimeWarning, match="compression norm unchecked"):
         orbit = adjoint_power_orbit(L, xi, 3)
     assert orbit[1] == pytest.approx(0.6)
+    # a compression that would split whole is refused too: its plan reads the
+    # positions from a BasisIndexer
+    L = series_to_op(FreeSeries.make(2, {word(1, 2): 0.9, word(2, 1): 0.9}), 2, 12)  # bound 1.27
+    with pytest.raises(BasisCapExceeded):
+        op_norm(L)
+    with pytest.warns(RuntimeWarning, match="compression norm unchecked.*over the basis cap"):
+        adjoint_power_orbit(L, xi, 3)
     # below the cap, a compression norm <= 1 (0.979) under a bound of 1.02 decides nothing
     L = series_to_op(FreeSeries.make(2, {Word(): 0.52, word(1): 0.5}), 2, 4)
     with pytest.warns(RuntimeWarning, match="compression norm unchecked.*lower bound"):
@@ -1014,16 +1028,34 @@ def _assert_op_norm_is_full_svd(s, n, N, side):
 
 @settings(deadline=None, max_examples=60)
 @given(data=st.data(), n=st.sampled_from([1, 2, 3]), side=st.sampled_from(["left", "right"]),
-       seed=st.integers(0, 2**32 - 1), constant=st.booleans(), extra=st.integers(0, 2))
-def test_op_norm_is_the_full_svd(data, n, side, seed, constant, extra):
+       seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(SUPPORTS), extra=st.integers(0, 2))
+def test_op_norm_is_the_full_svd(data, n, side, seed, kind, extra):
     degree = data.draw(st.integers(0, {1: 10, 2: 8, 3: 5}[n] - extra), label="degree")  # dense
     rng = np.random.default_rng(seed)
-    coeffs = dict(random_series(rng, n, degree, int(rng.integers(1, 6))).coeffs)
-    coeffs.pop(Word(), None)
-    if constant:
-        coeffs[Word()] = complex(rng.standard_normal(), rng.standard_normal())
-    s = FreeSeries.make(n, coeffs)
-    _assert_op_norm_is_full_svd(s, n, s.degree() + extra, side)
+    words = random_support(rng, n, degree, kind, side)
+    s = FreeSeries.make(n, {w: complex(*rng.standard_normal(2)) for w in words})
+    _assert_op_norm_is_full_svd(s, n, degree + extra, side)
+
+
+@settings(deadline=None, max_examples=10)
+@given(N=st.integers(12, 16), side=st.sampled_from(["left", "right"]),
+       seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(SPLIT_SUPPORTS),
+       degree=st.integers(1, 4))
+def test_op_norm_over_cap_splits_without_writing_out(N, side, seed, kind, degree):
+    # every entry lies in an isolated column, so sigma_max is the largest
+    # column or row 2-norm: no matrix is written and ARPACK never runs
+    rng = np.random.default_rng(seed)
+    words = random_support(rng, 2, degree, kind, side)
+    s = FreeSeries.make(2, {w: complex(*rng.standard_normal(2)) for w in words})
+    m = series_to_op(s, 2, N, side).matrix  # basis 8191 to 131071
+    want = max(spla.norm(m, axis=0).max(), spla.norm(m, axis=1).max())
+    X = series_to_op(s, 2, N, side)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators.spla, "svds", _broken_call)
+        patch.setattr(operators, "_write_out", refuse_write_out)
+        got = op_norm(X)
+    assert X._matrix is None
+    assert abs(got - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -249,6 +249,8 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
         raise ValueError("need |w| <= 2*degree <= N")
     if restarts < 1 or max_iter < 1:
         raise ValueError(f"need restarts >= 1 and max_iter >= 1, got {restarts} and {max_iter}")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     problem = _BallProblem(w, degree, n, N)
     basis = problem.basis
     m = len(basis)

@@ -396,6 +396,10 @@ def exp_eigenvector(lam_tuple: tuple[complex, ...] | None = None, n: int = 2,
     """Eigenvector of the right-algebra adjoints: coefficients are conjugated
     letter products of lam, and stripping the suffix z_i scales by conj(lam_i)."""
     tol = tolerance(tol)
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     if lam_tuple is None:
         if seed is not None:
             rng = np.random.default_rng(seed)

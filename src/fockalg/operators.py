@@ -170,47 +170,58 @@ def _write_out(size: int, owner: np.ndarray, rows: np.ndarray, cols: np.ndarray)
     return write_out
 
 
-def _isolated(r: np.ndarray, c: np.ndarray, shape: tuple[int, int]):
-    """(lone, vectors) for the entries at (r, c) of a matrix of this shape: a
-    column whose rows hold no other entry, or a row whose columns hold none,
-    is a block of the matrix up to permutation, its 2-norm its one singular
-    value; lone marks the entries of such columns and rows, and vectors(sq),
-    from the entries' squared moduli, is their largest 2-norm.  Only positions
-    count, so zero values merge no blocks, and an entry stored twice is never lone."""
+def _sigma_plan(r: np.ndarray, c: np.ndarray, shape: tuple[int, int], owner: np.ndarray):
+    """(sigma, whole) for a matrix of this shape holding vals[owner] at (r, c).
+    A column whose rows hold no other entry, or a row whose columns hold none,
+    is a block up to permutation with its 2-norm as its one singular value;
+    whole says every entry lies in one.  sigma(vals) is the largest such 2-norm
+    or sigma_max of the rest (duplicates summed, empty rows and columns dropped):
+    full SVD up to DENSE_CAP rows, ARPACK beyond.  Only positions count, so zero
+    values merge no blocks, and an entry stored twice is never lone."""
     alone_in_row = np.bincount(r, minlength=shape[0])[r] == 1
     alone_in_col = np.bincount(c, minlength=shape[1])[c] == 1
     in_col = (np.bincount(c, ~alone_in_row, shape[1]) == 0)[c]
     in_row = (np.bincount(r, ~alone_in_col, shape[0]) == 0)[r]
-    col_of, row_of = c[in_col], r[in_row]
+    rest = ~(in_col | in_row)
+    col_of, col_owner, row_of, row_owner = c[in_col], owner[in_col], r[in_row], owner[in_row]
+    r, c, owner = r[rest], c[rest], owner[rest]  # from here on, the rest's entries
 
-    def vectors(sq: np.ndarray) -> float:
-        return math.sqrt(max(np.bincount(col_of, sq[in_col]).max(initial=0.0),
-                             np.bincount(row_of, sq[in_row]).max(initial=0.0)))
-    return in_col | in_row, vectors
+    def sigma(vals: np.ndarray) -> float:
+        sq = np.abs(vals) ** 2
+        vectors = math.sqrt(max(np.bincount(col_of, sq[col_owner]).max(initial=0.0),
+                                np.bincount(row_of, sq[row_owner]).max(initial=0.0)))
+        if not owner.size:
+            return vectors
+        rows = np.bincount(r, minlength=shape[0]) > 0
+        cols = np.bincount(c, minlength=shape[1]) > 0
+        block = sp.csr_matrix((vals[owner], (np.cumsum(rows)[r] - 1, np.cumsum(cols)[c] - 1)),
+                              shape=(rows.sum(), cols.sum()))
+        if shape[0] > DENSE_CAP and min(block.shape) > 2:  # ARPACK needs k = 1 < min(shape) - 1
+            return max(vectors, _arpack_norm(block))
+        return max(vectors, float(np.linalg.norm(block.toarray(), 2)))
+    return sigma, not owner.size
 
 
 def level_split_sigma(words: list[Word], side: str, n: int, N: int):
     """vals -> sigma_max of the compression of sum_i vals[i] S_{words[i]} on F^2_N
     (distinct words of length <= N), planned once from the positions.
 
-    When every entry lies in an isolated column or row (_isolated: each L_w or
-    R_w, homogeneous symbols, prefix-free supports for L and suffix-free ones
-    for R), sigma_max is the largest column or row 2-norm, and nothing is
-    written out.  Otherwise a basis over DENSE_CAP goes to _spectral_norm of
-    the CSR, and a smaller one to the level split, exact from the compression
-    on F^2_{N-1}, the leading block of the one on F^2_N.  Split by last letter
-    for L (first for R), F^2_N = C xi_0 + sum_i F^2_{N-1} z_i and the
-    compression is [[a_0, 0], [c, I_n (x) M]], M the one on F^2_{N-1},
-    c_i[u] = a_{ui} (a_{iu} for R).  With M^H M = V diag(g) V^H, sigma_max^2 is the
-    top eigenvalue of [[sum |a_w|^2, sqrt(w)^T], [sqrt(w), diag(g)]], w_j the sum
-    over i of |(c_i^H M V)_j|^2; M's all-zero columns add only uncoupled zeros."""
+    The positions go to _sigma_plan, whose sigma is returned when every entry
+    lies in an isolated column or row (each L_w or R_w, homogeneous symbols,
+    prefix-free supports for L and suffix-free ones for R), with nothing
+    written out, or when the basis is over DENSE_CAP, where only the rest is
+    written out, for ARPACK.  Otherwise the level split is exact from the
+    compression on F^2_{N-1}, the leading block of the one on F^2_N.  Split
+    by last letter for L (first for R), F^2_N = C xi_0 + sum_i F^2_{N-1} z_i
+    and the compression is [[a_0, 0], [c, I_n (x) M]], M the one on
+    F^2_{N-1}, c_i[u] = a_{ui} (a_{iu} for R).  With M^H M = V diag(g) V^H,
+    sigma_max^2 is the top eigenvalue of [[sum |a_w|^2, sqrt(w)^T], [sqrt(w),
+    diag(g)]], w_j the sum over i of |(c_i^H M V)_j|^2; M's all-zero columns
+    add only uncoupled zeros."""
     size, owner, rows, cols = _positions(words, side, n, N)
-    lone, vectors = _isolated(rows, cols, (size, size))
-    if lone.all():  # N = 0 always ends here: the compression is [a_0]
-        return lambda vals: vectors((np.abs(vals) ** 2)[owner])
-    if size > DENSE_CAP:
-        full = _write_out(size, owner, rows, cols)
-        return lambda vals: _spectral_norm(full(vals))
+    planned, whole = _sigma_plan(rows, cols, (size, size), owner)
+    if whole or size > DENSE_CAP:  # N = 0 always splits whole: the compression is [a_0]
+        return planned
     rest = BasisIndexer(n, N - 1)
     below = rows < rest.size
     lower = _write_out(rest.size, owner[below], rows[below], cols[below])
@@ -318,32 +329,13 @@ def gram(a: FreeSeries, b: FreeSeries, side: str) -> dict[tuple[bytes, bool], co
 
 
 def _spectral_norm(m) -> float:
-    # Norms with no symbol to split (matrix-backed operators, X R - R X) and
-    # symbol compressions over DENSE_CAP that do not split whole.  The
-    # isolated columns and rows of m (_isolated) are measured as vectors; only
-    # the rest (stored duplicates among it, which the arms sum), without its
-    # empty rows and columns, reaches an arm: a full SVD up to DENSE_CAP,
-    # ARPACK beyond.
+    # sigma_max of a matrix with no symbol to plan from (a matrix-backed
+    # operator, the commutant's X R - R X): its stored nonzeros go to
+    # _sigma_plan, dense or sparse alike.
     coo = sp.coo_matrix(m)
     keep = coo.data != 0
-    r, c, v = coo.row[keep], coo.col[keep], coo.data[keep]
-    lone, norm_of = _isolated(r, c, m.shape)
-    vectors = norm_of(np.abs(v) ** 2)
-    rest = ~lone
-    if not rest.any():
-        return vectors
-    r, c, v = r[rest], c[rest], v[rest]
-    rows = np.bincount(r, minlength=m.shape[0]) > 0
-    cols = np.bincount(c, minlength=m.shape[1]) > 0
-    if not sp.issparse(m):
-        block = m[np.ix_(rows, cols)]
-    else:
-        block = sp.csr_matrix((v, (np.cumsum(rows)[r] - 1, np.cumsum(cols)[c] - 1)),
-                              shape=(rows.sum(), cols.sum()))
-        if m.shape[0] > DENSE_CAP and min(block.shape) > 2:  # ARPACK needs k = 1 < min(shape) - 1
-            return max(vectors, _arpack_norm(block))
-        block = block.toarray()
-    return max(vectors, float(np.linalg.norm(block, 2)))
+    sigma, _ = _sigma_plan(coo.row[keep], coo.col[keep], m.shape, np.arange(keep.sum()))
+    return sigma(coo.data[keep])
 
 
 def _arpack_norm(m: sp.csr_matrix) -> float:
@@ -385,10 +377,10 @@ def symbol_norm_bound(s: FreeSeries) -> float:
 def op_norm(X: TruncOp) -> float:
     """Largest singular value of the compression (a lower bound for the norm
     of the untruncated operator, labelled 'compression norm' in reports), taken
-    once per operator: from the symbol by level_split_sigma at every size,
-    which writes nothing out when the compression falls apart into isolated
-    columns and rows, and else takes the level split up to DENSE_CAP and
-    _spectral_norm beyond; a matrix-backed X by _spectral_norm of its matrix."""
+    once per operator: from the symbol by level_split_sigma at every size, a
+    matrix-backed X by _spectral_norm of its matrix.  Both plan from entry
+    positions (_sigma_plan) and measure isolated columns and rows as vectors;
+    only the rest of a matrix-backed or over-cap X reaches full SVD or ARPACK."""
     if X._norm is None:
         if X._symbol is None:
             X._norm = _spectral_norm(X.matrix)

@@ -387,7 +387,13 @@ def test_cli_refuses_nan_lam(capsys):
     (["thin-isometry", "--kmax", "-1"], "need kmax >= 0, got -1"),
     # a series has no truncation, so the message names none
     (["cesaro", "--n", "0"], "need n >= 1, got n=0"),
-], ids=["thin-isometry-kmax", "cesaro-n"])
+    # numpy's own message for a negative seed names no flag
+    (["ball-search", "--seed", "-1"], "need seed >= 0, got -1"),
+    (["eigenvector", "--seed", "-1"], "need seed >= 0, got -1"),
+    # refused up front, not by the first word past the truncation
+    (["eigenvector", "--level", "0"], "need N >= 1, got 0"),
+], ids=["thin-isometry-kmax", "cesaro-n", "ball-search-seed", "eigenvector-seed",
+        "eigenvector-level"])
 def test_cli_input_messages_name_the_flags_given(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"fockalg {argv[0]}: error: {message}\n"
@@ -463,10 +469,11 @@ def test_factor_search_demo_script_runs():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("target L_[z1 z2]  restarts=2  seed=7")
     # bad input is one line on stderr and exit code 2, not a traceback
-    for args in (["z1 z2", "abc"], ["z1 z2", "0"], ["zq"], ["z256"]):
+    for args in (["z1 z2", "abc"], ["z1 z2", "0"], ["zq"], ["z256"], ["z1 z2", "2", "-1"]):
         proc = subprocess.run(
             [sys.executable, str(root / "scripts" / "factor_search_demo.py"), *args],
             capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 2, (args, proc.stderr)
         assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1, (args, proc.stderr)
+    assert proc.stderr == "factor_search_demo: error: need seed >= 0, got -1\n"

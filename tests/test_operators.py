@@ -550,7 +550,7 @@ def test_spectral_norm_of_trimmed_block(seed, rows, cols):
     want = np.linalg.norm(m, 2)
     assert abs(operators._spectral_norm(m) - want) <= 1e-13 * max(1.0, want)
     assert operators._spectral_norm(np.zeros((rows, cols), dtype=complex)) == 0.0
-    # the sparse arm, on the block and on its first column alone
+    # over DENSE_CAP, on the block and on its first column alone
     _assert_sparse_norm(rng, m)
     _assert_sparse_norm(rng, m[:, :1])
 
@@ -591,12 +591,24 @@ def test_spectral_norm_splits_off_isolated_rows_and_columns(seed, columns, rows,
         blocks.append(_complex(rng, coupled) * (rng.random(coupled) > 0.35))
     want = max((np.linalg.norm(b, 2) for b in blocks), default=0.0)
     whole = sp.block_diag(blocks, format="coo") if blocks else sp.coo_matrix((0, 0))
-    for size in (8191, sum(whole.shape) + 3):  # the sparse arm over DENSE_CAP, the dense one
+    for size in (8191, sum(whole.shape) + 3):  # ARPACK over DENSE_CAP, the full SVD below
         r = rng.choice(size, whole.shape[0], replace=False)
         c = rng.choice(size, whole.shape[1], replace=False)
         m = sp.csr_matrix((whole.data, (r[whole.row], c[whole.col])), shape=(size, size))
         got = operators._spectral_norm(m if size > operators.DENSE_CAP else m.toarray())
         assert abs(got - want) <= 1e-12 * want
+
+
+def test_spectral_norm_of_dense_over_cap_is_its_csr_twins():
+    # the arm follows the row count alone, whatever the storage: a dense
+    # matrix over DENSE_CAP goes to ARPACK as its CSR twin does
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        m = np.zeros((operators.DENSE_CAP + 1, 12), dtype=complex)
+        m[rng.choice(m.shape[0], 12, replace=False)] = _complex(rng, (12, 12))
+        got = operators._spectral_norm(m)
+        assert got == operators._spectral_norm(sp.csr_matrix(m)), seed
+        assert abs(got - np.linalg.norm(m, 2)) <= 1e-12 * got
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -1056,6 +1068,20 @@ def test_op_norm_over_cap_splits_without_writing_out(N, side, seed, kind, degree
         got = op_norm(X)
     assert X._matrix is None
     assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_op_norm_over_cap_without_split_writes_out_only_the_rest(side):
+    # the constant term leaves no column isolated; the plan writes out only the
+    # compacted rest for ARPACK, never the whole compression
+    s = FreeSeries.make(2, {Word(): 1.0, word(1): 1.0, word(2): 1.0, word(1, 2): 1.0})
+    want = operators._spectral_norm(series_to_op(s, 2, 12, side).matrix)  # basis 8191
+    X = series_to_op(s, 2, 12, side)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "_write_out", refuse_write_out)
+        got = op_norm(X)
+    assert X._matrix is None
+    assert abs(got - want) <= 1e-15 * want
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -41,7 +41,7 @@ from .operators import (
     symbol_norm_bound,
 )
 from .report import Report
-from .words import BasisIndexer, Word, enumerate_words, reverse
+from .words import MAX_LETTER, BasisIndexer, Word, enumerate_words, reverse
 
 ZETA2 = math.pi**2 / 6.0  # sum_{k>=0} 1/(k+1)^2
 IDEAL_SCALE = 1.0 / math.sqrt(ZETA2)
@@ -140,6 +140,8 @@ def exp_codim_counts(symbol: FreeSeries | None = None, n: int = 2, N: int = 5,
     tol = tolerance(tol)
     if n < 2:
         raise ValueError("codimension counts need n >= 2")
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
     if symbol is None:
         symbol = FreeSeries.delta(n, Z1)
     L = series_to_op(symbol, n, N)
@@ -396,6 +398,8 @@ def exp_eigenvector(lam_tuple: tuple[complex, ...] | None = None, n: int = 2,
     """Eigenvector of the right-algebra adjoints: coefficients are conjugated
     letter products of lam, and stripping the suffix z_i scales by conj(lam_i)."""
     tol = tolerance(tol)
+    if not 1 <= n <= MAX_LETTER:
+        raise ValueError(f"need 1 <= n <= {MAX_LETTER}, got n={n}")
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     if seed is not None and seed < 0:

@@ -171,13 +171,13 @@ def _write_out(size: int, owner: np.ndarray, rows: np.ndarray, cols: np.ndarray)
 
 
 def _sigma_plan(r: np.ndarray, c: np.ndarray, shape: tuple[int, int], owner: np.ndarray):
-    """(sigma, whole) for a matrix of this shape holding vals[owner] at (r, c).
+    """vals -> sigma_max of a matrix of this shape holding vals[owner] at (r, c).
     A column whose rows hold no other entry, or a row whose columns hold none,
-    is a block up to permutation with its 2-norm as its one singular value;
-    whole says every entry lies in one.  sigma(vals) is the largest such 2-norm
-    or sigma_max of the rest (duplicates summed, empty rows and columns dropped):
-    full SVD up to DENSE_CAP rows, ARPACK beyond.  Only positions count, so zero
-    values merge no blocks, and an entry stored twice is never lone."""
+    is a block up to permutation with its 2-norm as its one singular value.
+    sigma(vals) is the largest such 2-norm or sigma_max of the rest (duplicates
+    summed, empty rows and columns dropped): full SVD up to DENSE_CAP rows,
+    ARPACK beyond.  Only positions count, so zero values merge no blocks, and
+    an entry stored twice is never lone."""
     alone_in_row = np.bincount(r, minlength=shape[0])[r] == 1
     alone_in_col = np.bincount(c, minlength=shape[1])[c] == 1
     in_col = (np.bincount(c, ~alone_in_row, shape[1]) == 0)[c]
@@ -199,29 +199,36 @@ def _sigma_plan(r: np.ndarray, c: np.ndarray, shape: tuple[int, int], owner: np.
         if shape[0] > DENSE_CAP and min(block.shape) > 2:  # ARPACK needs k = 1 < min(shape) - 1
             return max(vectors, _arpack_norm(block))
         return max(vectors, float(np.linalg.norm(block.toarray(), 2)))
-    return sigma, not owner.size
+    return sigma
 
 
 def level_split_sigma(words: list[Word], side: str, n: int, N: int):
     """vals -> sigma_max of the compression of sum_i vals[i] S_{words[i]} on F^2_N
-    (distinct words of length <= N), planned once from the positions.
+    (distinct words of length <= N), planned once.
 
-    The positions go to _sigma_plan, whose sigma is returned when every entry
-    lies in an isolated column or row (each L_w or R_w, homogeneous symbols,
-    prefix-free supports for L and suffix-free ones for R), with nothing
-    written out, or when the basis is over DENSE_CAP, where only the rest is
-    written out, for ARPACK.  Otherwise the level split is exact from the
-    compression on F^2_{N-1}, the leading block of the one on F^2_N.  Split
-    by last letter for L (first for R), F^2_N = C xi_0 + sum_i F^2_{N-1} z_i
-    and the compression is [[a_0, 0], [c, I_n (x) M]], M the one on
-    F^2_{N-1}, c_i[u] = a_{ui} (a_{iu} for R).  With M^H M = V diag(g) V^H,
-    sigma_max^2 is the top eigenvalue of [[sum |a_w|^2, sqrt(w)^T], [sqrt(w),
-    diag(g)]], w_j the sum over i of |(c_i^H M V)_j|^2; M's all-zero columns
-    add only uncoupled zeros."""
+    A prefix-free support (suffix-free for R) splits whole: the S_w are
+    isometries with orthogonal ranges, so every row holds at most one entry
+    and sigma is the column xi_0's 2-norm, sum |vals|^2 in word order, with
+    no positions built and nothing written out, at any size (N = 0 included).
+    No other support does: if w = u t, the entry (w, xi_0) shares its row
+    with column t's entry and its column with row u's.  Otherwise the
+    positions go to _sigma_plan, whose sigma is returned over DENSE_CAP, where
+    only the rest is written out, for ARPACK.  Below it the level split is
+    exact from the compression on F^2_{N-1}, the leading block of the one on
+    F^2_N.  Split by last letter for L (first for R), F^2_N = C xi_0 +
+    sum_i F^2_{N-1} z_i and the compression is [[a_0, 0], [c, I_n (x) M]],
+    M the one on F^2_{N-1}, c_i[u] = a_{ui} (a_{iu} for R).  With M^H M =
+    V diag(g) V^H, sigma_max^2 is the top eigenvalue of [[sum |a_w|^2,
+    sqrt(w)^T], [sqrt(w), diag(g)]], w_j the sum over i of |(c_i^H M V)_j|^2;
+    M's all-zero columns add only uncoupled zeros."""
+    BasisIndexer(n, N)  # the basis cap refuses a compression that splits whole too
+    ends = sorted(words) if side == LEFT else sorted(w[::-1] for w in words)
+    if not any(v.startswith(u) for u, v in zip(ends, ends[1:])):  # a prefix starts its successor
+        # one bin adds in word order, as _sigma_plan adds column xi_0: the same float
+        return lambda vals: math.sqrt(np.bincount(np.zeros(len(vals), int), np.abs(vals) ** 2, 1)[0])
     size, owner, rows, cols = _positions(words, side, n, N)
-    planned, whole = _sigma_plan(rows, cols, (size, size), owner)
-    if whole or size > DENSE_CAP:  # N = 0 always splits whole: the compression is [a_0]
-        return planned
+    if size > DENSE_CAP:
+        return _sigma_plan(rows, cols, (size, size), owner)
     rest = BasisIndexer(n, N - 1)
     below = rows < rest.size
     lower = _write_out(rest.size, owner[below], rows[below], cols[below])
@@ -334,8 +341,7 @@ def _spectral_norm(m) -> float:
     # _sigma_plan, dense or sparse alike.
     coo = sp.coo_matrix(m)
     keep = coo.data != 0
-    sigma, _ = _sigma_plan(coo.row[keep], coo.col[keep], m.shape, np.arange(keep.sum()))
-    return sigma(coo.data[keep])
+    return _sigma_plan(coo.row[keep], coo.col[keep], m.shape, np.arange(keep.sum()))(coo.data[keep])
 
 
 def _arpack_norm(m: sp.csr_matrix) -> float:
@@ -378,9 +384,12 @@ def op_norm(X: TruncOp) -> float:
     """Largest singular value of the compression (a lower bound for the norm
     of the untruncated operator, labelled 'compression norm' in reports), taken
     once per operator: from the symbol by level_split_sigma at every size, a
-    matrix-backed X by _spectral_norm of its matrix.  Both plan from entry
-    positions (_sigma_plan) and measure isolated columns and rows as vectors;
-    only the rest of a matrix-backed or over-cap X reaches full SVD or ARPACK."""
+    matrix-backed X by _spectral_norm of its matrix.  A prefix-free support
+    (suffix-free for R) is the one kind whose compression splits whole, so its
+    sigma is the coefficients' 2-norm, read from the words with nothing built
+    over the basis.  Any other X plans from entry positions (_sigma_plan),
+    which measures isolated columns and rows as vectors; only the rest of a
+    matrix-backed or over-cap X reaches full SVD or ARPACK."""
     if X._norm is None:
         if X._symbol is None:
             X._norm = _spectral_norm(X.matrix)

@@ -505,8 +505,9 @@ def _assert_sigma_is_svd(problem, vec, n, N):
 )
 def test_level_split_sigma_is_the_compression_norm(seed, n, kind, side, degree, extra, density):
     # the search's basis (every word up to degree) and supports that split
-    # whole, in part or not at all; the plan reads only the positions, so
-    # zero values change nothing, and a split support writes nothing out
+    # whole, in part or not at all; the plan reads only the words and their
+    # positions, so zero values change nothing, and a split support writes
+    # nothing out
     N = 2 * degree + extra
     rng = np.random.default_rng(seed)
     words = list(BasisIndexer(n, degree).words()) if kind == "search" \

@@ -392,8 +392,13 @@ def test_cli_refuses_nan_lam(capsys):
     (["eigenvector", "--seed", "-1"], "need seed >= 0, got -1"),
     # refused up front, not by the first word past the truncation
     (["eigenvector", "--level", "0"], "need N >= 1, got 0"),
+    # nor by the symbol built from it
+    (["codim-counts", "--level", "0"], "need N >= 1, got 0"),
+    # the alphabet before the default lam built over it, and before numpy
+    (["eigenvector", "--n", "-1"], "need 1 <= n <= 255, got n=-1"),
+    (["eigenvector", "--n", "-1", "--seed", "3"], "need 1 <= n <= 255, got n=-1"),
 ], ids=["thin-isometry-kmax", "cesaro-n", "ball-search-seed", "eigenvector-seed",
-        "eigenvector-level"])
+        "eigenvector-level", "codim-counts-level", "eigenvector-n", "eigenvector-n-seed"])
 def test_cli_input_messages_name_the_flags_given(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"fockalg {argv[0]}: error: {message}\n"

@@ -1070,6 +1070,98 @@ def test_op_norm_over_cap_splits_without_writing_out(N, side, seed, kind, degree
     assert abs(got - want) <= 1e-12 * want
 
 
+def _refuse_positions(*args, **kwargs):
+    raise AssertionError("the compression's positions were built")
+
+
+def _prefix_free(words, side):
+    """No word begins another (ends another for R), from the definition."""
+    begins = (lambda v, u: v.startswith(u)) if side == "left" else (lambda v, u: v.endswith(u))
+    return not any(u != v and begins(v, u) for u in words for v in words)
+
+
+def _splits_whole(words, side, n, N):
+    """Every entry of the compression lies in an isolated column (its rows hold
+    no other entry) or an isolated row (its columns hold none), counted from
+    the positions."""
+    size, _, rows, cols = operators._positions(words, side, n, N)
+    shared_row = np.bincount(rows, minlength=size)[rows] > 1
+    shared_col = np.bincount(cols, minlength=size)[cols] > 1
+    isolated_col = np.bincount(cols, shared_row, size) == 0
+    isolated_row = np.bincount(rows, shared_col, size) == 0
+    return bool(np.all(isolated_col[cols] | isolated_row[rows]))
+
+
+def _plans_from_words(words, side, n, N):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "_positions", _refuse_positions)
+        try:
+            operators.level_split_sigma(words, side, n, N)
+        except AssertionError:
+            return False
+    return True
+
+
+def test_splits_whole_exactly_when_prefix_free():
+    # if w = u t, the entry (w, xi_0) shares its row with column t's entry and
+    # its column with row u's; with no such pair every row holds one entry.
+    # level_split_sigma decides from the words alone exactly the supports that
+    # split whole
+    seen = set()
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n, kind, side = 1 + seed % 3, SUPPORTS[seed % 5], ("left", "right")[seed // 5 % 2]
+        degree = int(rng.integers(0, {1: 8, 2: 6, 3: 4}[n] + 1))
+        words = random_support(rng, n, degree, kind, side)
+        N = degree + int(rng.integers(0, 3))
+        whole = _splits_whole(words, side, n, N)
+        assert whole == _prefix_free(words, side) == _plans_from_words(words, side, n, N), \
+            (seed, words)
+        seen.add(whole)
+    assert seen == {True, False}
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.sampled_from([1, 2, 3]), side=st.sampled_from(["left", "right"]),
+       seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(SUPPORTS), extra=st.integers(0, 2),
+       density=st.sampled_from([0.0, 0.4, 1.0]))
+def test_level_split_sigma_of_a_prefix_free_support_is_the_plans(n, side, seed, kind, extra,
+                                                                  density):
+    # the words decide the whole split, and the float is the one the plan on
+    # the positions gives, zero values included; a support that does not split
+    # whole takes the level split, which agrees to rounding
+    rng = np.random.default_rng(seed)
+    degree = int(rng.integers(0, {1: 8, 2: 6, 3: 4}[n] + 1))
+    words = random_support(rng, n, degree, kind, side)
+    m, N = len(words), degree + extra
+    vals = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * (rng.random(m) < density)
+    got = operators.level_split_sigma(words, side, n, N)(vals)
+    size, owner, rows, cols = operators._positions(words, side, n, N)
+    want = operators._sigma_plan(rows, cols, (size, size), owner)(vals)
+    if _prefix_free(words, side):
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12 * want + 1e-300
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("N", [16, 18])
+def test_op_norm_over_cap_prefix_free_reads_only_the_words(N, side):
+    # sigma is the coefficients' l2 norm, with no positions built over the
+    # basis and nothing written out
+    rng = np.random.default_rng(N)
+    words = random_support(rng, 2, 4, "prefix-free", side)
+    assert len(words) > 1
+    s = FreeSeries.make(2, {w: complex(*rng.standard_normal(2)) for w in words})
+    X = series_to_op(s, 2, N, side)  # basis 131071 and 524287
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "_positions", _refuse_positions)
+        patch.setattr(operators, "_write_out", refuse_write_out)
+        got = op_norm(X)
+    assert X._matrix is None
+    assert abs(got - s.l2_norm()) <= 1e-15 * s.l2_norm()
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_op_norm_over_cap_without_split_writes_out_only_the_rest(side):
     # the constant term leaves no column isolated; the plan writes out only the

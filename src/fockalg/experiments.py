@@ -71,6 +71,8 @@ def exp_adjoint_decay(lam: complex = 0.5, N: int = 4, kmax: int = 200,
     lam = complex(lam)
     if not abs(lam) < 1:
         raise ValueError(f"need |lam| < 1, got {abs(lam)}")
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
     if kmax < 0:
         raise ValueError(f"need kmax >= 0, got {kmax}")
     mu = math.sqrt(1.0 - abs(lam) ** 2)

@@ -31,20 +31,20 @@ from .words import MAX_LETTER, BasisIndexer, Word, _derived
 
 
 def _check_words(n: int, N: Optional[int], coeffs: dict[Word, complex]) -> None:
-    """n >= 1 and N >= 0 (or None), then Word or plain bytes keys, lengths <= N,
-    letters in 1..n (a plain key may hold a zero byte) and no zero coefficient,
-    each checked as one pass over the whole map."""
-    if N is None and n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    if N is not None and (n < 1 or N < 0):
-        raise ValueError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
+    """1 <= n <= MAX_LETTER and N >= 0 (or None), then Word or plain bytes keys,
+    lengths <= N, letters in 1..n (a plain key may hold a zero byte) and no
+    zero coefficient, each checked as one pass over the whole map."""
+    if N is None and not 1 <= n <= MAX_LETTER:
+        raise ValueError(f"need 1 <= n <= {MAX_LETTER}, got n={n}")
+    if N is not None and (not 1 <= n <= MAX_LETTER or N < 0):
+        raise ValueError(f"need 1 <= n <= {MAX_LETTER} and N >= 0, got n={n}, N={N}")
     if not set(map(type, coeffs)) <= {Word, bytes}:
         bad = next(w for w in coeffs if type(w) not in (Word, bytes))
         raise TypeError(f"keys must be Words or bytes, got {bad!r} ({type(bad).__name__})")
     if N is not None and max(map(len, coeffs), default=0) > N:
         bad = next(w for w in coeffs if len(w) > N)
         raise ValueError(f"word {_derived(bad)!r} longer than truncation {N}")
-    alphabet = bytes(range(1, min(n, MAX_LETTER) + 1))
+    alphabet = bytes(range(1, n + 1))
     if b"".join(coeffs).translate(None, alphabet):
         bad = next(w for w in coeffs if w.translate(None, alphabet))
         raise ValueError(f"word {_derived(bad)!r} uses letters outside the alphabet 1..{n}")

@@ -4,11 +4,11 @@ An element of the left algebra is determined by its noncommutative symbol
 sum_w a_w L_w (the Fourier coefficients a_w = (X xi_1, xi_w)).  Operators are
 realized on the basis {xi_w : |w| <= N} in one of two ways:
 
-* symbol-backed: the symbol is kept and columns are produced lazily by word
-  concatenation; this works at any truncation level, including ones whose
-  basis could never be materialized,
-* matrix-backed: an explicit (dense or sparse) compression matrix, for
-  operators that are not given by a symbol.  Such an operator is measured
+* symbol-backed: the symbol is kept and acts by word concatenation at any
+  truncation level; its compression norm is read from the symbol at every
+  size, and its matrix is written out, dense, only up to DENSE_CAP,
+* matrix-backed: a caller's compression matrix (numpy, or scipy.sparse read
+  through its stored entries), for operators not given by a symbol, measured
   only by norms and the commutant; it is not applied to vectors, composed,
   added or scaled.  ``TruncOp.symbol`` is the one place that refuses it, and
   the checks that operands share a side refuse it too (its side is None).
@@ -27,7 +27,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fock import FockVector, FreeSeries, _convolve, _strips
 from .words import BasisCapExceeded, BasisIndexer, Word, enumerate_words
@@ -73,7 +72,7 @@ class TruncOp:
 
     @property
     def matrix(self):
-        """Compression matrix; materialized on first use (may hit the basis cap)."""
+        """Compression matrix; a symbol's is written out, dense, on first use."""
         if self._matrix is None:
             s = self.symbol
             self._matrix = _compression(list(s.coeffs), self.side, self.n, self.N)(
@@ -81,14 +80,11 @@ class TruncOp:
         return self._matrix
 
     def dense(self) -> np.ndarray:
+        """The matrix as a numpy array, up to DENSE_CAP rows."""
         m = self.matrix
-        if sp.issparse(m):
-            if m.shape[0] > DENSE_CAP:
-                raise BasisCapExceeded(
-                    f"dense diagnostics limited to basis <= {DENSE_CAP}, have {m.shape[0]}"
-                )
-            return m.toarray()
-        return m
+        if m.shape[0] > DENSE_CAP:
+            raise BasisCapExceeded(f"dense matrices limited to basis <= {DENSE_CAP}, have {m.shape[0]}")
+        return m.toarray() if sp.issparse(m) else m
 
     # -- vector action ------------------------------------------------------
 
@@ -153,85 +149,48 @@ def _positions(words: list[Word], side: str, n: int, N: int):
 
 
 def _compression(words: list[Word], side: str, n: int, N: int):
-    """vals -> compression of sum_i vals[i] S_{words[i]} (S = L or R) on F^2_N,
-    dense up to DENSE_CAP and CSR beyond: the word -> position arithmetic runs
-    once, and each call is one scatter (the P_N S_w P_N are disjoint 0/1 masks)."""
+    """vals -> dense compression of sum_i vals[i] S_{words[i]} (S = L or R) on
+    F^2_N, up to DENSE_CAP: the word -> position arithmetic runs once, and each
+    call is one scatter (the P_N S_w P_N are disjoint 0/1 masks)."""
     return _write_out(*_positions(words, side, n, N))
 
 
 def _write_out(size: int, owner: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     """vals -> the size x size matrix holding vals[owner] at (rows, cols)."""
+    if size > DENSE_CAP:
+        raise BasisCapExceeded(f"dense matrices limited to basis <= {DENSE_CAP}, have {size}")
+
     def write_out(vals: np.ndarray):
-        if size > DENSE_CAP:
-            return sp.csr_matrix((vals[owner], (rows, cols)), shape=(size, size), dtype=complex)
         m = np.zeros((size, size), dtype=complex)
         m[rows, cols] = vals[owner]
         return m
     return write_out
 
 
-def _sigma_plan(r: np.ndarray, c: np.ndarray, shape: tuple[int, int], owner: np.ndarray):
-    """vals -> sigma_max of a matrix of this shape holding vals[owner] at (r, c).
-    A column whose rows hold no other entry, or a row whose columns hold none,
-    is a block up to permutation with its 2-norm as its one singular value.
-    sigma(vals) is the largest such 2-norm or sigma_max of the rest (duplicates
-    summed, empty rows and columns dropped): full SVD up to DENSE_CAP rows,
-    ARPACK beyond.  Only positions count, so zero values merge no blocks, and
-    an entry stored twice is never lone."""
-    alone_in_row = np.bincount(r, minlength=shape[0])[r] == 1
-    alone_in_col = np.bincount(c, minlength=shape[1])[c] == 1
-    in_col = (np.bincount(c, ~alone_in_row, shape[1]) == 0)[c]
-    in_row = (np.bincount(r, ~alone_in_col, shape[0]) == 0)[r]
-    rest = ~(in_col | in_row)
-    col_of, col_owner, row_of, row_owner = c[in_col], owner[in_col], r[in_row], owner[in_row]
-    r, c, owner = r[rest], c[rest], owner[rest]  # from here on, the rest's entries
-
-    def sigma(vals: np.ndarray) -> float:
-        sq = np.abs(vals) ** 2
-        vectors = math.sqrt(max(np.bincount(col_of, sq[col_owner]).max(initial=0.0),
-                                np.bincount(row_of, sq[row_owner]).max(initial=0.0)))
-        if not owner.size:
-            return vectors
-        rows = np.bincount(r, minlength=shape[0]) > 0
-        cols = np.bincount(c, minlength=shape[1]) > 0
-        block = sp.csr_matrix((vals[owner], (np.cumsum(rows)[r] - 1, np.cumsum(cols)[c] - 1)),
-                              shape=(rows.sum(), cols.sum()))
-        if shape[0] > DENSE_CAP and min(block.shape) > 2:  # ARPACK needs k = 1 < min(shape) - 1
-            return max(vectors, _arpack_norm(block))
-        return max(vectors, float(np.linalg.norm(block.toarray(), 2)))
-    return sigma
-
-
 def level_split_sigma(words: list[Word], side: str, n: int, N: int):
     """vals -> sigma_max of the compression of sum_i vals[i] S_{words[i]} on F^2_N
-    (distinct words of length <= N), planned once.
+    (distinct words of length <= N), planned once, exact at every size.
 
     A prefix-free support (suffix-free for R) splits whole: the S_w are
     isometries with orthogonal ranges, so every row holds at most one entry
     and sigma is the column xi_0's 2-norm, sum |vals|^2 in word order, with
-    no positions built and nothing written out, at any size (N = 0 included).
-    No other support does: if w = u t, the entry (w, xi_0) shares its row
-    with column t's entry and its column with row u's.  Otherwise the
-    positions go to _sigma_plan, whose sigma is returned over DENSE_CAP, where
-    only the rest is written out, for ARPACK.  Below it the level split is
-    exact from the compression on F^2_{N-1}, the leading block of the one on
-    F^2_N.  Split by last letter for L (first for R), F^2_N = C xi_0 +
-    sum_i F^2_{N-1} z_i and the compression is [[a_0, 0], [c, I_n (x) M]],
-    M the one on F^2_{N-1}, c_i[u] = a_{ui} (a_{iu} for R).  With M^H M =
-    V diag(g) V^H, sigma_max^2 is the top eigenvalue of [[sum |a_w|^2,
-    sqrt(w)^T], [sqrt(w), diag(g)]], w_j the sum over i of |(c_i^H M V)_j|^2;
-    M's all-zero columns add only uncoupled zeros."""
-    BasisIndexer(n, N)  # the basis cap refuses a compression that splits whole too
+    nothing written out (N = 0 included).  No other support does: if w = u t,
+    the entry (w, xi_0) shares its row with column t's entry and its column
+    with row u's.  Any other support is split by last letter for L (first for
+    R): F^2_N = C xi_0 + sum_i F^2_{N-1} z_i, and the compression is
+    [[a_0, 0], [c, I_n (x) M]], M the one on F^2_{N-1}, c_i[u] = a_{ui}
+    (a_{iu} for R).  Over DENSE_CAP, _transfer_sigma repeats the split down to
+    the symbol's degree.  Below it, with M^H M = V diag(g) V^H, sigma_max^2 is
+    the top eigenvalue of [[sum |a_w|^2, sqrt(w)^T], [sqrt(w), diag(g)]], w_j
+    the sum over i of |(c_i^H M V)_j|^2; M's all-zero columns add only zeros."""
+    size = BasisIndexer(n, N).size  # the basis cap refuses a compression that splits whole too
     ends = sorted(words) if side == LEFT else sorted(w[::-1] for w in words)
     if not any(v.startswith(u) for u, v in zip(ends, ends[1:])):  # a prefix starts its successor
-        # one bin adds in word order, as _sigma_plan adds column xi_0: the same float
+        # one bin adds in word order, as a bincount of column xi_0 does: one float
         return lambda vals: math.sqrt(np.bincount(np.zeros(len(vals), int), np.abs(vals) ** 2, 1)[0])
-    size, owner, rows, cols = _positions(words, side, n, N)
     if size > DENSE_CAP:
-        return _sigma_plan(rows, cols, (size, size), owner)
-    rest = BasisIndexer(n, N - 1)
-    below = rows < rest.size
-    lower = _write_out(rest.size, owner[below], rows[below], cols[below])
+        return _transfer_sigma(words, side, n, N)
+    rest, lower = BasisIndexer(n, N - 1), _compression(words, side, n, N - 1)
     nonempty = np.array([i for i, w in enumerate(words) if w], dtype=int)
     # c laid out by (split letter, rest) in an (n, dim) array
     splits = [(w[-1], w[:-1]) if side == LEFT else (w[0], w[1:]) for w in words if w]
@@ -246,6 +205,56 @@ def level_split_sigma(words: list[Word], side: str, n: int, N: int):
         arrow = np.diag(np.concatenate(([np.vdot(vals, vals).real], g)))
         arrow[0, 1:] = arrow[1:, 0] = np.linalg.norm(c.reshape(n, -1).conj() @ M @ V, axis=0)
         return math.sqrt(np.linalg.eigvalsh(arrow)[-1])
+    return sigma
+
+
+def _transfer_sigma(words: list[Word], side: str, n: int, N: int):
+    """vals -> level_split_sigma's sigma_max (degree d >= 1), writing out only
+    the compression M on W = F^2_{d-1}; R's words are read reversed, as L's
+    (the flip xi_v -> xi_{v reversed} takes R_w to L_{w reversed}).
+
+    With G_k the Gram matrix on F^2_k, the split gives lam - G_k = [[lam - s,
+    -y^H], [-y, I_n (x) (lam - G_{k-1})]], s = sum |a_w|^2, and each
+    y_j = M^H c_j lies in W for k >= d.  So for lam > lambda_max(G_{d-1}),
+    lam - G_N > 0 exactly when each pivot lam - s - sum_j y_j^H Q y_j,
+    k = d..N, is > 0, where the block inverse carries Q = P_W (lam -
+    G_{k-1})^{-1} P_W up a level: t t^H / pivot, t = (1, (Q y_j)[u]), plus
+    Q's block on F^2_{d-2} at W's words u j for each j.  sigma^2 is bisected
+    in [max(s, lambda_max(G_{d-1})), (sum |a_w|)^2] to adjacent floats."""
+    words = words if side == LEFT else [w[::-1] for w in words]
+    d = max(map(len, words))
+    base, W = _compression(words, LEFT, n, d - 1), BasisIndexer(n, d - 1)
+    # W's index of u j for each u in F^2_{d-2}, in order: where R_j sends it
+    ends = np.array([_positions([Word((j,))], RIGHT, n, d - 1)[2] for j in range(1, n + 1)])
+    inner = ends.shape[1]
+    nonempty = np.array([i for i, w in enumerate(words) if w], dtype=int)
+    tails = np.array([(w[-1] - 1) * W.size + W.index_of(w[:-1]) for w in words if w], dtype=int)
+
+    def sigma(vals: np.ndarray) -> float:
+        M, c = base(vals), np.zeros(n * W.size, dtype=complex)
+        c[tails] = vals[nonempty]
+        g, V = np.linalg.eigh(M.conj().T @ M)
+        Y, s = c.reshape(n, -1) @ M.conj(), np.vdot(vals, vals).real
+
+        def definite(lam: float) -> bool:
+            Q = (V / (lam - g)) @ V.conj().T  # lam > g[-1], the lower end
+            for _ in range(d, N + 1):
+                Z = Y @ Q.T  # row j is Q y_j, as row j of Y is y_j
+                pivot = lam - s - np.vdot(Y, Z).real
+                if not pivot > 0:
+                    return False
+                t = np.zeros(W.size, dtype=complex)
+                t[0], t[ends] = 1.0, Z[:, :inner]
+                Q, old = np.outer(t, t.conj()) / pivot, Q
+                Q[ends[:, :, None], ends[:, None, :]] += old[:inner, :inner]
+            return True
+
+        lo, hi = max(s, g[-1]), np.abs(vals).sum() ** 2
+        mid = (lo + hi) / 2
+        while lo < mid < hi:
+            lo, hi = (lo, mid) if definite(mid) else (mid, hi)
+            mid = (lo + hi) / 2
+        return math.sqrt(hi)
     return sigma
 
 
@@ -267,6 +276,10 @@ def series_to_op(s: FreeSeries, n: int, N: int, side: str = LEFT) -> TruncOp:
 
 
 def op_from_matrix(matrix, n: int, N: int) -> TruncOp:
+    """The operator whose compression on F^2_N is matrix (numpy or scipy.sparse)."""
+    size = BasisIndexer(n, N).size
+    if tuple(matrix.shape) != (size, size):
+        raise ValueError(f"matrix shape {tuple(matrix.shape)} is not the basis shape {(size, size)}")
     return TruncOp(n, N, matrix=matrix)
 
 
@@ -336,38 +349,32 @@ def gram(a: FreeSeries, b: FreeSeries, side: str) -> dict[tuple[bytes, bool], co
 
 
 def _spectral_norm(m) -> float:
-    # sigma_max of a matrix with no symbol to plan from (a matrix-backed
-    # operator, the commutant's X R - R X): its stored nonzeros go to
-    # _sigma_plan, dense or sparse alike.
+    """sigma_max of a matrix with no symbol (a matrix-backed operator, the
+    commutant's X R - R X), dense or scipy.sparse, from its stored nonzeros.
+    A column whose rows hold no other entry, or a row whose columns hold none,
+    is a block up to permutation with its 2-norm as its one singular value.
+    sigma is the largest such 2-norm or the full SVD's of the rest (duplicates
+    summed, empty rows and columns dropped), which must fit in DENSE_CAP rows
+    and columns.  Only positions count: an entry stored twice is never lone."""
     coo = sp.coo_matrix(m)
     keep = coo.data != 0
-    return _sigma_plan(coo.row[keep], coo.col[keep], m.shape, np.arange(keep.sum()))(coo.data[keep])
-
-
-def _arpack_norm(m: sp.csr_matrix) -> float:
-    """svds from a fixed start, so that repeated calls agree bitwise; power
-    iteration on m^H m if ARPACK fails."""
-    try:
-        s = spla.svds(m, k=1, return_singular_vectors=False, rng=np.random.default_rng(0))
-        return float(s[0])
-    except (spla.ArpackNoConvergence, spla.ArpackError):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
-        x /= np.linalg.norm(x)
-        mh = m.conjugate().transpose()
-        val = 0.0
-        for _ in range(200):
-            y = mh @ (m @ x)
-            nrm = np.linalg.norm(y)
-            if nrm == 0:
-                return 0.0
-            x = y / nrm
-            if abs(nrm - val) <= 1e-12 * nrm:
-                return float(np.sqrt(nrm))
-            val = nrm
-        warnings.warn("power iteration did not converge in 200 steps; "
-                      "the spectral norm estimate may be low", RuntimeWarning)
-        return float(np.sqrt(val))
+    r, c, vals = coo.row[keep], coo.col[keep], coo.data[keep]
+    alone_in_row = np.bincount(r, minlength=m.shape[0])[r] == 1
+    alone_in_col = np.bincount(c, minlength=m.shape[1])[c] == 1
+    in_col = (np.bincount(c, ~alone_in_row, m.shape[1]) == 0)[c]
+    in_row = (np.bincount(r, ~alone_in_col, m.shape[0]) == 0)[r]
+    rest = ~(in_col | in_row)
+    sq = np.abs(vals) ** 2
+    vectors = math.sqrt(max(np.bincount(c[in_col], sq[in_col]).max(initial=0.0),
+                            np.bincount(r[in_row], sq[in_row]).max(initial=0.0)))
+    if not rest.any():
+        return vectors
+    rows, r = np.unique(r[rest], return_inverse=True)
+    cols, c = np.unique(c[rest], return_inverse=True)
+    if max(rows.size, cols.size) > DENSE_CAP:
+        raise BasisCapExceeded(f"rest block {rows.size} x {cols.size} over DENSE_CAP {DENSE_CAP}")
+    block = sp.csr_matrix((vals[rest], (r, c)), shape=(rows.size, cols.size)).toarray()
+    return max(vectors, float(np.linalg.norm(block, 2)))
 
 
 def symbol_norm_bound(s: FreeSeries) -> float:
@@ -383,13 +390,10 @@ def symbol_norm_bound(s: FreeSeries) -> float:
 def op_norm(X: TruncOp) -> float:
     """Largest singular value of the compression (a lower bound for the norm
     of the untruncated operator, labelled 'compression norm' in reports), taken
-    once per operator: from the symbol by level_split_sigma at every size, a
-    matrix-backed X by _spectral_norm of its matrix.  A prefix-free support
-    (suffix-free for R) is the one kind whose compression splits whole, so its
-    sigma is the coefficients' 2-norm, read from the words with nothing built
-    over the basis.  Any other X plans from entry positions (_sigma_plan),
-    which measures isolated columns and rows as vectors; only the rest of a
-    matrix-backed or over-cap X reaches full SVD or ARPACK."""
+    once per operator.  A symbol's is exact at every size (level_split_sigma):
+    the word test for a prefix-free support (suffix-free for R), else the
+    level split below DENSE_CAP and the transfer recursion over it.  A
+    matrix-backed X's is _spectral_norm of its matrix, one dense SVD at most."""
     if X._norm is None:
         if X._symbol is None:
             X._norm = _spectral_norm(X.matrix)
@@ -447,16 +451,12 @@ def commutant_residual(X: TruncOp) -> float:
     if X.frontier < 1:
         return 0.0
     cols = BasisIndexer(X.n, X.N).level_offset(X.frontier)
-    M, worst = X.matrix, 0.0
+    M, worst = X.dense(), 0.0
     for i in range(1, X.n + 1):
         shift = _positions([Word((i,))], RIGHT, X.n, X.N)[2]
         # only the first cols columns of D are measured
         D = M[:, shift[:cols]]
-        if sp.issparse(M):
-            top = M[:shift.size, :cols].tocoo()
-            D = D - sp.csr_matrix((top.data, (shift[top.row], top.col)), shape=D.shape)
-        else:
-            D[shift] -= M[:shift.size, :cols]
+        D[shift] -= M[:shift.size, :cols]
         worst = max(worst, _spectral_norm(D))
     return worst
 

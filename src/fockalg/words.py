@@ -104,7 +104,7 @@ def reverse(w: Word) -> Word:
 def enumerate_words(n: int, k: int) -> list[Word]:
     """All n^k words of length exactly k, lexicographically ordered."""
     if not 1 <= n <= MAX_LETTER or k < 0:
-        raise ValueError(f"need 1 <= n <= {MAX_LETTER} and k >= 0")
+        raise ValueError(f"need 1 <= n <= {MAX_LETTER} and k >= 0, got n={n}, k={k}")
     limit = basis_cap()
     if n**k > limit:
         raise BasisCapExceeded(f"n^k = {n**k} exceeds cap {limit}")
@@ -120,7 +120,7 @@ class BasisIndexer:
 
     def __init__(self, n: int, N: int):
         if not 1 <= n <= MAX_LETTER or N < 0:
-            raise ValueError(f"need 1 <= n <= {MAX_LETTER} and N >= 0")
+            raise ValueError(f"need 1 <= n <= {MAX_LETTER} and N >= 0, got n={n}, N={N}")
         n = operator.index(n)  # a Python int, so that word_at makes int letters
         self.n = n
         self.N = N

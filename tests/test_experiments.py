@@ -386,7 +386,16 @@ def test_cli_refuses_nan_lam(capsys):
     # kmax is refused itself, not through the truncation N = 3*kmax + 1 made from it
     (["thin-isometry", "--kmax", "-1"], "need kmax >= 0, got -1"),
     # a series has no truncation, so the message names none
-    (["cesaro", "--n", "0"], "need n >= 1, got n=0"),
+    (["cesaro", "--n", "0"], "need 1 <= n <= 255, got n=0"),
+    # an alphabet past one letter a byte, by the series or vector built over it
+    (["cesaro", "--n", "300"], "need 1 <= n <= 255, got n=300"),
+    (["membership-witness", "--n", "300"], "need 1 <= n <= 255, got n=300"),
+    (["ideal-counterexample", "--n", "300"], "need 1 <= n <= 255, got n=300"),
+    (["flip-examples", "--n", "300"], "need 1 <= n <= 255, got n=300"),
+    (["codim-counts", "--n", "300"], "need 1 <= n <= 255, got n=300"),
+    # or by the words and the basis, which name their values
+    (["thin-isometry", "--n", "300"], "need 1 <= n <= 255 and k >= 0, got n=300, k=0"),
+    (["ball-search", "--n", "300"], "need 1 <= n <= 255 and N >= 0, got n=300, N=2"),
     # numpy's own message for a negative seed names no flag
     (["ball-search", "--seed", "-1"], "need seed >= 0, got -1"),
     (["eigenvector", "--seed", "-1"], "need seed >= 0, got -1"),
@@ -394,11 +403,16 @@ def test_cli_refuses_nan_lam(capsys):
     (["eigenvector", "--level", "0"], "need N >= 1, got 0"),
     # nor by the symbol built from it
     (["codim-counts", "--level", "0"], "need N >= 1, got 0"),
+    (["adjoint-decay", "--level", "0"], "need N >= 1, got 0"),
+    (["adjoint-decay", "--level", "-1"], "need N >= 1, got -1"),
     # the alphabet before the default lam built over it, and before numpy
     (["eigenvector", "--n", "-1"], "need 1 <= n <= 255, got n=-1"),
     (["eigenvector", "--n", "-1", "--seed", "3"], "need 1 <= n <= 255, got n=-1"),
-], ids=["thin-isometry-kmax", "cesaro-n", "ball-search-seed", "eigenvector-seed",
-        "eigenvector-level", "codim-counts-level", "eigenvector-n", "eigenvector-n-seed"])
+], ids=["thin-isometry-kmax", "cesaro-n", "cesaro-n-300", "membership-witness-n-300",
+        "ideal-counterexample-n-300", "flip-examples-n-300", "codim-counts-n-300",
+        "thin-isometry-n-300", "ball-search-n-300", "ball-search-seed", "eigenvector-seed",
+        "eigenvector-level", "codim-counts-level", "adjoint-decay-level-0",
+        "adjoint-decay-level-negative", "eigenvector-n", "eigenvector-n-seed"])
 def test_cli_input_messages_name_the_flags_given(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"fockalg {argv[0]}: error: {message}\n"

@@ -76,11 +76,15 @@ def test_validation():
         FockVector(2, 1, {Word(): 1.0, word(1, 1): 1.0})
     # the space is checked before the words, so no word is blamed for it; a
     # series has no truncation, so its message names none
-    vector, series = "need n >= 1 and N >= 0, got n={}, N={}$", "need n >= 1, got n=0$"
+    vector, series = "need 1 <= n <= 255 and N >= 0, got n={}, N={}$", "need 1 <= n <= 255, got n={}$"
     for act, message in ((lambda: FockVector(2, -1, {}), vector.format(2, -1)),
-                         (lambda: FreeSeries(0, {}), series), (lambda: FreeSeries.zero(0), series),
-                         (lambda: FreeSeries(0, {word(1): 1.0}), series),
-                         (lambda: FockVector.make(0, 2, {word(1): 1.0}), vector.format(0, 2))):
+                         (lambda: FreeSeries(0, {}), series.format(0)),
+                         (lambda: FreeSeries.zero(0), series.format(0)),
+                         (lambda: FreeSeries(0, {word(1): 1.0}), series.format(0)),
+                         (lambda: FockVector.make(0, 2, {word(1): 1.0}), vector.format(0, 2)),
+                         # one letter a byte
+                         (lambda: FreeSeries(256, {}), series.format(256)),
+                         (lambda: FockVector(300, 2, {}), vector.format(300, 2))):
         with pytest.raises(ValueError, match=message):
             act()
 

@@ -1,11 +1,15 @@
 import gc
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +21,7 @@ from conftest import (
     random_vector,
     refuse_write_out,
 )
+import fockalg
 from fockalg import operators
 from fockalg.calculus import apply_series, check_isometric_on_frontier, h2_times_isometry
 from fockalg.fock import FockVector
@@ -466,45 +471,29 @@ def test_op_norm_monotone_in_level(rng):
 
 
 def test_sparse_materialization_path():
+    # past DENSE_CAP nothing is written out, dense or sparse; the norm comes
+    # from the symbol
     X = creation_op("left", word(1), 2, 12)  # basis 8191 > dense cap
-    import scipy.sparse as sp
-
-    assert sp.issparse(X.matrix)
+    for act in (lambda: X.matrix, X.dense):
+        with pytest.raises(BasisCapExceeded, match="limited to basis <= 4096, have 8191"):
+            act()
+    assert X._matrix is None
     assert abs(op_norm(X) - 1.0) <= 1e-9
-    with pytest.raises(Exception):
-        X.dense()
 
 
 def _materialize_by_columns(symbol, side, n, N, idx):
     # reference: the per-column loop of word_at -> concat -> index_of
-    size = idx.size
-    dense = size <= operators.DENSE_CAP
-    if dense:
-        m = np.zeros((size, size), dtype=complex)
-    else:
-        rows, cols, vals = [], [], []
+    m = np.zeros((idx.size, idx.size), dtype=complex)
     for w, a in symbol.coeffs.items():
         for j in range(idx.level_offset(N - len(w) + 1)):
             v = idx.word_at(j)
-            i = idx.index_of(concat(w, v) if side == "left" else concat(v, w))
-            if dense:
-                m[i, j] += a
-            else:
-                rows.append(i)
-                cols.append(j)
-                vals.append(a)
-    if dense:
-        return m
-    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size), dtype=complex)
+            m[idx.index_of(concat(w, v) if side == "left" else concat(v, w)), j] += a
+    return m
 
 
 def _assert_same_matrix(got, want):
-    assert sp.issparse(got) == sp.issparse(want) and got.dtype == want.dtype
-    if sp.issparse(want):
-        for field in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), field
-    else:
-        assert np.array_equal(got, want)
+    assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def _symbol_from_draw(n, N, seed, words, constant, full):
@@ -531,13 +520,14 @@ def test_materialize_matches_column_loop(data, n, side, seed, constant, full):
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_materialize_matches_column_loop_sparse(side):
+def test_materialize_over_dense_cap_is_refused(side):
     n, N = 2, 12  # basis 8191 > dense cap
-    idx = BasisIndexer(n, N)
     for seed, words in enumerate([[], [(1,), (2, 1, 2)], [(2,) * 5, (1, 2), (2, 1)]]):
         s = _symbol_from_draw(n, N, seed, words, constant=seed > 0, full=seed > 1)
-        _assert_same_matrix(series_to_op(s, n, N, side).matrix,
-                            _materialize_by_columns(s, side, n, N, idx))
+        X = series_to_op(s, n, N, side)
+        with pytest.raises(BasisCapExceeded, match="limited to basis <= 4096, have 8191"):
+            X.matrix
+        assert X._matrix is None
 
 
 @settings(deadline=None, max_examples=40)
@@ -591,7 +581,7 @@ def test_spectral_norm_splits_off_isolated_rows_and_columns(seed, columns, rows,
         blocks.append(_complex(rng, coupled) * (rng.random(coupled) > 0.35))
     want = max((np.linalg.norm(b, 2) for b in blocks), default=0.0)
     whole = sp.block_diag(blocks, format="coo") if blocks else sp.coo_matrix((0, 0))
-    for size in (8191, sum(whole.shape) + 3):  # ARPACK over DENSE_CAP, the full SVD below
+    for size in (8191, sum(whole.shape) + 3):  # CSR over DENSE_CAP, dense below
         r = rng.choice(size, whole.shape[0], replace=False)
         c = rng.choice(size, whole.shape[1], replace=False)
         m = sp.csr_matrix((whole.data, (r[whole.row], c[whole.col])), shape=(size, size))
@@ -600,8 +590,8 @@ def test_spectral_norm_splits_off_isolated_rows_and_columns(seed, columns, rows,
 
 
 def test_spectral_norm_of_dense_over_cap_is_its_csr_twins():
-    # the arm follows the row count alone, whatever the storage: a dense
-    # matrix over DENSE_CAP goes to ARPACK as its CSR twin does
+    # the storage changes nothing: a dense matrix over DENSE_CAP and its CSR
+    # twin hand the same 12 x 12 rest to the full SVD
     for seed in range(40):
         rng = np.random.default_rng(seed)
         m = np.zeros((operators.DENSE_CAP + 1, 12), dtype=complex)
@@ -611,15 +601,25 @@ def test_spectral_norm_of_dense_over_cap_is_its_csr_twins():
         assert abs(got - np.linalg.norm(m, 2)) <= 1e-12 * got
 
 
+def _column_and_row_norms(s, side, n, N):
+    """The 2-norms of the columns and of the rows of the compression of s on
+    F^2_N, read from its positions, with nothing written out at any size."""
+    size, owner, rows, cols = operators._positions(list(s.coeffs), side, n, N)
+    sq = np.abs(np.array(list(s.coeffs.values()))[owner]) ** 2
+    return np.sqrt(np.bincount(cols, sq, size)), np.sqrt(np.bincount(rows, sq, size))
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_homogeneous_norm_over_cap_needs_no_svds(monkeypatch, rng, side):
     # every row of a homogeneous compression holds one entry, so each column
     # is a block of its own with the coefficients' l2 norm
-    monkeypatch.setattr(operators.spla, "svds", _broken_call)
+    monkeypatch.setattr(operators, "_write_out", refuse_write_out)
     s = FreeSeries.make(2, {w: complex(*rng.standard_normal(2))
                             for w in enumerate_words(2, 3)[::3]})
     X = series_to_op(s, 2, 13, side)  # basis 16383
-    assert sp.issparse(X.matrix)
+    col_norms, row_norms = _column_and_row_norms(s, side, 2, 13)
+    assert row_norms.max() <= col_norms.max() == col_norms[0]
+    assert abs(col_norms[0] - s.l2_norm()) <= 1e-12 * s.l2_norm()
     assert abs(op_norm(X) - s.l2_norm()) <= 1e-12 * s.l2_norm()
 
 
@@ -663,13 +663,16 @@ def test_commutant_matches_dense_products(rng):
 
 
 def test_commutant_sparse_above_dense_cap(rng):
+    # the commutant reads the matrix dense, so past DENSE_CAP it is refused,
+    # for a caller's sparse matrix and for a symbol alike
     n, N = 2, 12
     size = BasisIndexer(n, N).size
     assert size > operators.DENSE_CAP
     M = sp.random(size, size, density=2e-4, format="csr", dtype=complex, rng=rng,
                   data_rvs=lambda k: rng.standard_normal(k) + 1j * rng.standard_normal(k))
-    X = op_from_matrix(M, n, N)
-    assert commutant_residual(X) == _ref_commutant(X) > 1.0
+    for X in (op_from_matrix(M, n, N), series_to_op(random_series(rng, n, 2, 5), n, N)):
+        with pytest.raises(BasisCapExceeded, match="limited to basis <= 4096, have 8191"):
+            commutant_residual(X)
 
 
 def test_commutant_right_generator():
@@ -986,14 +989,6 @@ def test_frontier_never_exceeds_oracle(seed, N, side, steps):
                 assert abs(got.coeff(w) - want.coeff(w)) <= 1e-12, (X.frontier, v, w)
 
 
-def _no_convergence(*args, **kwargs):
-    raise spla.ArpackNoConvergence("ARPACK did not converge", np.empty(0), np.empty((0, 0)))
-
-
-def _broken_call(*args, **kwargs):
-    raise TypeError("bad svds call")
-
-
 def _hadamard_pairs(rng, size=8191, pairs=1023):
     """Unitary 2x2 blocks [[1, 1], [1, -1]] / sqrt(2) at distinct random rows
     and columns of a size-square CSR: each nonempty row and column holds two
@@ -1005,29 +1000,25 @@ def _hadamard_pairs(rng, size=8191, pairs=1023):
                          shape=(size, size), dtype=complex)
 
 
-def test_spectral_norm_fallback_on_arpack_failure(monkeypatch, rng):
+def test_spectral_norm_rest_takes_the_full_svd_up_to_dense_cap(monkeypatch, rng):
     shapes = []
-    monkeypatch.setattr(operators.spla, "svds",
-                        lambda m, **kwargs: shapes.append(m.shape) or _no_convergence())
+    svd_norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm",
+                        lambda m, *args, **kwargs: shapes.append(np.shape(m)) or
+                        svd_norm(m, *args, **kwargs))
     # L_{12} sends distinct words to distinct words: each of its columns is a
-    # block of its own, measured as a vector, and ARPACK never runs
+    # block of its own, and no SVD runs
     assert op_norm(creation_op("left", word(1, 2), 2, 12)) == 1.0 and shapes == []
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # m^H m = I: converges at once, no warning
-        assert abs(op_norm(op_from_matrix(_hadamard_pairs(rng), 2, 12)) - 1.0) <= 1e-9
-    # ARPACK and the fallback see the block without its empty rows and columns
+    assert abs(op_norm(op_from_matrix(_hadamard_pairs(rng), 2, 12)) - 1.0) <= 1e-9
+    # the full SVD sees the rest without its empty rows and columns
     assert shapes == [(2046, 2046)]
-    # singular values crowding up to 1 keep the estimate creeping past the cap;
-    # the coupling of each diagonal entry to the next keeps every row and column
-    # in one block, and lifts the norm by at most 1e-3
+    # the coupling of each diagonal entry to the next keeps every row and
+    # column in one 8191-square rest, over DENSE_CAP: refused, never written
     size = 8191
     crowded = sp.diags(np.linspace(0.5, 1.0, size)) + sp.diags(np.full(size - 1, 1e-3), 1)
-    with pytest.warns(RuntimeWarning, match="did not converge"):
-        est = op_norm(op_from_matrix(crowded.tocsr().astype(complex), 2, 12))
-    assert shapes[-1] == (size, size) and 0.99 <= est <= 1.0 + 1e-3
-    monkeypatch.setattr(operators.spla, "svds", _broken_call)
-    with pytest.raises(TypeError):
-        op_norm(op_from_matrix(_hadamard_pairs(rng), 2, 12))
+    with pytest.raises(BasisCapExceeded, match="rest block 8191 x 8191 over DENSE_CAP 4096"):
+        op_norm(op_from_matrix(crowded.tocsr().astype(complex), 2, 12))
+    assert shapes == [(2046, 2046)]
 
 
 def _assert_op_norm_is_full_svd(s, n, N, side):
@@ -1055,15 +1046,14 @@ def test_op_norm_is_the_full_svd(data, n, side, seed, kind, extra):
        degree=st.integers(1, 4))
 def test_op_norm_over_cap_splits_without_writing_out(N, side, seed, kind, degree):
     # every entry lies in an isolated column, so sigma_max is the largest
-    # column or row 2-norm: no matrix is written and ARPACK never runs
+    # column or row 2-norm: no matrix is written and no SVD runs
     rng = np.random.default_rng(seed)
     words = random_support(rng, 2, degree, kind, side)
     s = FreeSeries.make(2, {w: complex(*rng.standard_normal(2)) for w in words})
-    m = series_to_op(s, 2, N, side).matrix  # basis 8191 to 131071
-    want = max(spla.norm(m, axis=0).max(), spla.norm(m, axis=1).max())
+    # basis 8191 to 131071
+    want = max(norms.max() for norms in _column_and_row_norms(s, side, 2, N))
     X = series_to_op(s, 2, N, side)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(operators.spla, "svds", _broken_call)
         patch.setattr(operators, "_write_out", refuse_write_out)
         got = op_norm(X)
     assert X._matrix is None
@@ -1127,20 +1117,23 @@ def test_splits_whole_exactly_when_prefix_free():
        density=st.sampled_from([0.0, 0.4, 1.0]))
 def test_level_split_sigma_of_a_prefix_free_support_is_the_plans(n, side, seed, kind, extra,
                                                                   density):
-    # the words decide the whole split, and the float is the one the plan on
-    # the positions gives, zero values included; a support that does not split
-    # whole takes the level split, which agrees to rounding
+    # the words decide the whole split, and the float is the largest column
+    # or row 2-norm summed from the positions, zero values included; a
+    # support that does not split whole takes the level split, which agrees
+    # with the full SVD to rounding
     rng = np.random.default_rng(seed)
     degree = int(rng.integers(0, {1: 8, 2: 6, 3: 4}[n] + 1))
     words = random_support(rng, n, degree, kind, side)
     m, N = len(words), degree + extra
     vals = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * (rng.random(m) < density)
     got = operators.level_split_sigma(words, side, n, N)(vals)
-    size, owner, rows, cols = operators._positions(words, side, n, N)
-    want = operators._sigma_plan(rows, cols, (size, size), owner)(vals)
     if _prefix_free(words, side):
+        size, owner, rows, cols = operators._positions(words, side, n, N)
+        sq = np.abs(vals[owner]) ** 2
+        want = math.sqrt(max(np.bincount(cols, sq, size).max(), np.bincount(rows, sq, size).max()))
         assert got == want
     else:
+        want = np.linalg.norm(operators._compression(words, side, n, N)(vals), 2)
         assert abs(got - want) <= 1e-12 * want + 1e-300
 
 
@@ -1162,18 +1155,32 @@ def test_op_norm_over_cap_prefix_free_reads_only_the_words(N, side):
     assert abs(got - s.l2_norm()) <= 1e-15 * s.l2_norm()
 
 
+# sigma of 1 + L1 + L2 + L1 L2 (and of its R twin) on F^2_12 and F^2_13, as
+# svds measured it from the compression over DENSE_CAP
+ONE_L1_L2_L12 = {("left", 12): float.fromhex("0x1.854779b46caffp+1"),  # 3.0412437563876433
+                 ("left", 13): float.fromhex("0x1.85ef4e8f05f16p+1"),  # 3.046365566096834
+                 ("right", 12): float.fromhex("0x1.854779b46caffp+1"),
+                 ("right", 13): float.fromhex("0x1.85ef4e8f05f17p+1")}
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_op_norm_over_cap_without_split_writes_out_only_the_rest(side):
-    # the constant term leaves no column isolated; the plan writes out only the
-    # compacted rest for ARPACK, never the whole compression
+    # the constant term leaves no column isolated; the transfer recursion
+    # writes out only the compression on F^2_{d-1} = F^2_1, never one over
+    # the basis
     s = FreeSeries.make(2, {Word(): 1.0, word(1): 1.0, word(2): 1.0, word(1, 2): 1.0})
-    want = operators._spectral_norm(series_to_op(s, 2, 12, side).matrix)  # basis 8191
-    X = series_to_op(s, 2, 12, side)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(operators, "_write_out", refuse_write_out)
-        got = op_norm(X)
-    assert X._matrix is None
-    assert abs(got - want) <= 1e-15 * want
+    sizes = []
+    write_out = operators._write_out
+    for N in (12, 13):  # basis 8191 and 16383
+        X = series_to_op(s, 2, N, side)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(operators, "_write_out",
+                          lambda size, *args: sizes.append(size) or write_out(size, *args))
+            got = op_norm(X)
+        assert X._matrix is None
+        want = ONE_L1_L2_L12[side, N]
+        assert abs(got - want) <= 1e-14 * want
+    assert sizes == [BasisIndexer(2, 1).size] * 2
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -1184,10 +1191,99 @@ def test_op_norm_of_zero_symbol_and_level_zero(side):
 
 
 def test_sparse_norm_is_reproducible():
-    # ARPACK starts from a seeded vector, so fresh copies of one operator
-    # (op_norm keeps the norm per copy) give the same float
+    # fresh copies of one operator over DENSE_CAP (op_norm keeps the norm per
+    # copy) give the same float
     s = FreeSeries.make(2, {word(1, 2): 0.3 + 0.1j, word(2, 2): 0.5, word(2, 1): -0.2j})
     for side in ("left", "right"):
         norms = {op_norm(series_to_op(s, 2, 12, side)) for _ in range(6)}  # basis 8191
         assert len(norms) == 1
         assert abs(norms.pop() - s.l2_norm()) <= 1e-12
+
+
+# -- the transfer recursion -------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), n=st.sampled_from([1, 2, 3]), side=st.sampled_from(["left", "right"]),
+       seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["mixed", "constant"]),
+       extra=st.integers(0, 2))
+def test_transfer_sigma_is_the_full_svd(data, n, side, seed, kind, extra):
+    # below the cap, where the full SVD of the written-out compression is the
+    # oracle; the recursion itself never looks at the cap
+    degree = data.draw(st.integers(1, {1: 9, 2: 6, 3: 4}[n] - extra), label="degree")
+    rng = np.random.default_rng(seed)
+    words = random_support(rng, n, degree, kind, side)
+    vals = rng.standard_normal(len(words)) + 1j * rng.standard_normal(len(words))
+    N = degree + extra
+    got = operators._transfer_sigma(words, side, n, N)(vals)
+    want = np.linalg.norm(operators._compression(words, side, n, N)(vals), 2)
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_transfer_sigma_does_not_decrease_in_N(side):
+    s = FreeSeries.make(2, {Word(): 1.0, word(1): 1.0, word(2): 1.0, word(1, 2): 1.0})
+    norms = [op_norm(series_to_op(s, 2, N, side)) for N in range(12, 17)]  # basis 8191 to 131071
+    assert norms == sorted(norms) and norms[0] < norms[-1] < symbol_norm_bound(s)
+
+
+def test_transfer_sigma_of_an_isometry_that_is_not_prefix_free():
+    # 1/2 L1 + 1/2 L1^2 + 1/2 L2 - 1/2 L2 L1 = L1 f(L1) + L2 g(L1) with
+    # f = (1 + z)/2, g = (1 - z)/2 and |f|^2 + |g|^2 = 1 on the circle: an
+    # isometry, and so is its flip on the right
+    left = FreeSeries.make(2, {word(1): 0.5, word(1, 1): 0.5, word(2): 0.5, word(2, 1): -0.5})
+    right = FreeSeries.make(2, {word(1): 0.5, word(1, 1): 0.5, word(2): 0.5, word(1, 2): -0.5})
+    for s, side in ((left, "left"), (right, "right")):
+        for N in range(12, 17):
+            X = series_to_op(s, 2, N, side)
+            assert abs(op_norm(X) - 1.0) <= 1e-15, (side, N)
+            assert X._matrix is None
+
+
+def test_over_dense_cap_refusals():
+    s = FreeSeries.make(2, {Word(): 1.0, word(1): 1.0, word(2): 1.0, word(1, 2): 1.0})
+    X = series_to_op(s, 2, 12, "left")
+    with pytest.raises(BasisCapExceeded, match="limited to basis <= 4096, have 8191"):
+        X.matrix  # a symbol's matrix over the cap
+    with pytest.raises(BasisCapExceeded, match="limited to basis <= 4096, have 8191"):
+        commutant_residual(X)
+    # a rest block over DENSE_CAP: 4097 x 2 entries, each row coupled to both columns
+    m = sp.csr_matrix((np.ones(2 * 4097), (np.repeat(np.arange(4097), 2), np.tile([0, 1], 4097))),
+                      shape=(8191, 8191))
+    with pytest.raises(BasisCapExceeded, match="rest block 4097 x 2 over DENSE_CAP 4096"):
+        op_norm(op_from_matrix(m, 2, 12))
+    # not prefix-free, with F^2_{d-1} = F^2_12 over the cap
+    deep = FreeSeries.make(2, {Word(): 1.0, Word((1,) * 13): 1.0})
+    Y = series_to_op(deep, 2, 13, "right")
+    with pytest.raises(BasisCapExceeded, match="limited to basis <= 4096, have 8191"):
+        op_norm(Y)
+    assert contraction_status(Y) == (
+        None, "symbol bound 2.000000 > 1 + 1e-09 and the compression is over the basis cap")
+
+
+def test_op_from_matrix_checks_the_shape():
+    # at (n=2, N=6) the basis has 127 words
+    for shape in ((5, 5), (200, 200), (127, 5)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"matrix shape {shape} is not the basis shape (127, 127)")):
+            op_from_matrix(np.eye(*shape, dtype=complex), 2, 6)
+    with pytest.raises(BasisCapExceeded):
+        op_from_matrix(np.eye(5), 2, 20)  # the basis cap speaks before the shape
+    assert commutant_residual(op_from_matrix(np.eye(127, dtype=complex), 2, 6)) == 0.0
+
+
+def test_norms_do_not_import_scipy_sparse_linalg():
+    # the package's norms and commutant need only numpy and scipy.sparse
+    code = ("import sys\n"
+            "import fockalg\n"
+            "from fockalg.operators import FreeSeries, commutant_residual, op_norm, series_to_op\n"
+            "from fockalg.words import Word, word\n"
+            "s = FreeSeries.make(2, {Word(): 1.0, word(1): 1.0, word(2): 1.0, word(1, 2): 1.0})\n"
+            "assert abs(op_norm(series_to_op(s, 2, 12)) - 3.0412437563876433) <= 1e-14 * 3.05\n"
+            "assert commutant_residual(series_to_op(s, 2, 6)) <= 1e-12\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n")
+    src = str(Path(fockalg.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout == "False\n", out.stderr

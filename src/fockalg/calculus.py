@@ -243,10 +243,12 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
     ball are one scalar each, and the restart's two sigma after its sweeps
     measure the reported factors for compression_norm.  Restarts use
     independently derived seeds, making the output deterministic for a given
-    (seed, restarts) regardless of scheduling.
+    (seed, restarts) regardless of scheduling.  Candidates come back in restart
+    order, not by residual: a near candidate's residual is rounding noise, so a
+    one-ulp change in any sigma could reorder them.
     """
     if not len(w) <= 2 * degree <= N:
-        raise ValueError("need |w| <= 2*degree <= N")
+        raise ValueError(f"need |w| <= 2*degree <= N, got |w|={len(w)}, degree={degree}, N={N}")
     if restarts < 1 or max_iter < 1:
         raise ValueError(f"need restarts >= 1 and max_iter >= 1, got {restarts} and {max_iter}")
     if seed < 0:
@@ -296,5 +298,4 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
         residual = factorization_residual(bser, cser, w, n, N)
         dist, split, _ = classify_word_factorization(bser, cser, w)
         out.append(FactorCandidate(bser, cser, residual, norm, dist, split, len(history), r))
-    out.sort(key=lambda cand: cand.residual)
     return out

@@ -56,6 +56,15 @@ Z1 = Word((1,))
 Z2 = Word((2,))
 
 
+def _check_alphabet(n: int, uses_z2: str | None = None) -> None:
+    """Refuse an alphabet size past one letter a byte, up front, and n = 1 when
+    uses_z2 names the construction or default input that needs the letter z2."""
+    if not 1 <= n <= MAX_LETTER:
+        raise ValueError(f"need 1 <= n <= {MAX_LETTER}, got n={n}")
+    if uses_z2 and n < 2:
+        raise ValueError(f"{uses_z2} uses z2; need n >= 2, got n={n}")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -228,8 +237,7 @@ def exp_thin_isometry(n: int = 2, kmax: int = 2, N: int | None = None,
     tol = tolerance(tol)
     if kmax < 0:
         raise ValueError(f"need kmax >= 0, got {kmax}")
-    if n < 2:
-        raise ValueError("construction uses two letters; need n >= 2")
+    _check_alphabet(n, "the construction")
     if N is None:
         N = 3 * kmax + 1
     if N < 3 * kmax + 1:
@@ -301,6 +309,7 @@ def exp_ideal_counterexample(a: FreeSeries | None = None, n: int = 2, N: int = 1
     candidate J ~ sum a_w lam_k L_w L2 L1^k, plus sup-norm growth of the
     diagonal partial sums (the unboundedness evidence)."""
     tol = tolerance(tol)
+    _check_alphabet(n, "the construction")
     if a is None:
         a = FreeSeries.make(2, {Z1: 0.8, Word((2, 2)): 0.6})
     if not a.coeffs:
@@ -400,8 +409,7 @@ def exp_eigenvector(lam_tuple: tuple[complex, ...] | None = None, n: int = 2,
     """Eigenvector of the right-algebra adjoints: coefficients are conjugated
     letter products of lam, and stripping the suffix z_i scales by conj(lam_i)."""
     tol = tolerance(tol)
-    if not 1 <= n <= MAX_LETTER:
-        raise ValueError(f"need 1 <= n <= {MAX_LETTER}, got n={n}")
+    _check_alphabet(n)
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     if seed is not None and seed < 0:
@@ -452,6 +460,7 @@ def exp_eigenvector(lam_tuple: tuple[complex, ...] | None = None, n: int = 2,
 def exp_cesaro(s: FreeSeries | None = None, n: int = 2, kmax: int = 64) -> Report:
     """Vector convergence of the Fejer-weighted sums at the vacuum."""
     if s is None:
+        _check_alphabet(n, "the default symbol")
         coeffs = {Word((1,) * k): 1.0 / (k + 1) for k in range(9)}
         coeffs[Word((2, 1))] = 0.5
         s = FreeSeries.make(n, coeffs)
@@ -484,6 +493,9 @@ def exp_flip_examples(n: int = 2, N: int = 12, terms: int = 4096,
     sup-norms diverge."""
     if terms < 0:
         raise ValueError(f"need terms >= 0, got {terms}")
+    _check_alphabet(n, "the construction")
+    if N < 2:  # the flip of z1 z2 is checked
+        raise ValueError(f"need N >= 2, got {N}")
     flips = {}
     worst_flip = 0.0
     for w in [Word(), Z1, Word((1, 2))]:
@@ -548,6 +560,7 @@ def exp_ball_search(w: Word | None = None, degree: int = 2, n: int = 2,
     which bound their norms from above; the largest compression norm over
     all candidates is reported too, but as a lower bound it certifies nothing.
     """
+    _check_alphabet(n, "the witness pair")
     if w is None:
         w = Word((1, 2))
     cands = search_ball_factorizations(w, degree, n, N, restarts=restarts, seed=seed)

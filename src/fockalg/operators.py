@@ -6,12 +6,11 @@ realized on the basis {xi_w : |w| <= N} in one of two ways:
 
 * symbol-backed: the symbol is kept and acts by word concatenation at any
   truncation level; its compression norm is read from the symbol at every
-  size, and its matrix is written out, dense, only up to DENSE_CAP,
-* matrix-backed: a caller's compression matrix (numpy, or scipy.sparse read
-  through its stored entries), for operators not given by a symbol, measured
-  only by norms and the commutant; it is not applied to vectors, composed,
-  added or scaled.  ``TruncOp.symbol`` is the one place that refuses it, and
-  the checks that operands share a side refuse it too (its side is None).
+  size, and _compression writes its matrix out, dense, only up to DENSE_CAP,
+* matrix-backed: a caller's compression matrix for an operator with no symbol,
+  a numpy array or a scipy.sparse matrix read through its own tocoo() and
+  toarray(); it is only measured (norms, commutant): ``TruncOp.symbol`` and the
+  checks that operands share a side (its side is None) refuse every other use.
 
 Every operator carries its exactness frontier: the largest level m such that
 the action on vectors supported in levels <= m agrees with the untruncated
@@ -26,7 +25,6 @@ import warnings
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import FockVector, FreeSeries, _convolve, _strips
 from .words import BasisCapExceeded, BasisIndexer, Word, enumerate_words
@@ -84,7 +82,7 @@ class TruncOp:
         m = self.matrix
         if m.shape[0] > DENSE_CAP:
             raise BasisCapExceeded(f"dense matrices limited to basis <= {DENSE_CAP}, have {m.shape[0]}")
-        return m.toarray() if sp.issparse(m) else m
+        return m.toarray() if hasattr(m, "toarray") else m
 
     # -- vector action ------------------------------------------------------
 
@@ -150,13 +148,9 @@ def _positions(words: list[Word], side: str, n: int, N: int):
 
 def _compression(words: list[Word], side: str, n: int, N: int):
     """vals -> dense compression of sum_i vals[i] S_{words[i]} (S = L or R) on
-    F^2_N, up to DENSE_CAP: the word -> position arithmetic runs once, and each
-    call is one scatter (the P_N S_w P_N are disjoint 0/1 masks)."""
-    return _write_out(*_positions(words, side, n, N))
-
-
-def _write_out(size: int, owner: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """vals -> the size x size matrix holding vals[owner] at (rows, cols)."""
+    F^2_N, the one write-out of a symbol, so the one refusal over DENSE_CAP: the
+    positions are found once, each call is one scatter (disjoint 0/1 masks)."""
+    size, owner, rows, cols = _positions(words, side, n, N)
     if size > DENSE_CAP:
         raise BasisCapExceeded(f"dense matrices limited to basis <= {DENSE_CAP}, have {size}")
 
@@ -276,7 +270,8 @@ def series_to_op(s: FreeSeries, n: int, N: int, side: str = LEFT) -> TruncOp:
 
 
 def op_from_matrix(matrix, n: int, N: int) -> TruncOp:
-    """The operator whose compression on F^2_N is matrix (numpy or scipy.sparse)."""
+    """The operator whose compression on F^2_N is matrix: a numpy array, or a
+    scipy.sparse matrix, read only through its own tocoo() and toarray()."""
     size = BasisIndexer(n, N).size
     if tuple(matrix.shape) != (size, size):
         raise ValueError(f"matrix shape {tuple(matrix.shape)} is not the basis shape {(size, size)}")
@@ -350,15 +345,19 @@ def gram(a: FreeSeries, b: FreeSeries, side: str) -> dict[tuple[bytes, bool], co
 
 def _spectral_norm(m) -> float:
     """sigma_max of a matrix with no symbol (a matrix-backed operator, the
-    commutant's X R - R X), dense or scipy.sparse, from its stored nonzeros.
-    A column whose rows hold no other entry, or a row whose columns hold none,
-    is a block up to permutation with its 2-norm as its one singular value.
-    sigma is the largest such 2-norm or the full SVD's of the rest (duplicates
-    summed, empty rows and columns dropped), which must fit in DENSE_CAP rows
-    and columns.  Only positions count: an entry stored twice is never lone."""
-    coo = sp.coo_matrix(m)
-    keep = coo.data != 0
-    r, c, vals = coo.row[keep], coo.col[keep], coo.data[keep]
+    commutant's X R - R X) from its nonzeros, found by np.nonzero or by a
+    scipy.sparse matrix's own tocoo() (scipy is never imported).  A column whose
+    rows hold no other entry, or a row whose columns hold none, is a block up to
+    permutation with its 2-norm as its one singular value.  sigma is the largest
+    such 2-norm or the full SVD's of the rest (duplicates summed, empty rows and
+    columns dropped), at most DENSE_CAP square.  An entry stored twice is never lone."""
+    if hasattr(m, "tocoo"):
+        coo = m.tocoo()
+        keep = coo.data != 0
+        r, c, vals = coo.row[keep], coo.col[keep], coo.data[keep]
+    else:
+        r, c = np.nonzero(m)
+        vals = m[r, c]
     alone_in_row = np.bincount(r, minlength=m.shape[0])[r] == 1
     alone_in_col = np.bincount(c, minlength=m.shape[1])[c] == 1
     in_col = (np.bincount(c, ~alone_in_row, m.shape[1]) == 0)[c]
@@ -373,7 +372,8 @@ def _spectral_norm(m) -> float:
     cols, c = np.unique(c[rest], return_inverse=True)
     if max(rows.size, cols.size) > DENSE_CAP:
         raise BasisCapExceeded(f"rest block {rows.size} x {cols.size} over DENSE_CAP {DENSE_CAP}")
-    block = sp.csr_matrix((vals[rest], (r, c)), shape=(rows.size, cols.size)).toarray()
+    block = np.zeros((rows.size, cols.size), dtype=vals.dtype)
+    np.add.at(block, (r, c), vals[rest])
     return max(vectors, float(np.linalg.norm(block, 2)))
 
 

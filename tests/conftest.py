@@ -46,7 +46,7 @@ def random_support(rng, n, degree, kind, side, terms=5):
 
 
 def refuse_write_out(*args, **kwargs):
-    """Stands in for operators._write_out where nothing may be written out."""
+    """Stands in for operators._compression where nothing may be written out."""
     raise AssertionError("the compression was written out")
 
 

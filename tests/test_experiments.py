@@ -393,9 +393,18 @@ def test_cli_refuses_nan_lam(capsys):
     (["ideal-counterexample", "--n", "300"], "need 1 <= n <= 255, got n=300"),
     (["flip-examples", "--n", "300"], "need 1 <= n <= 255, got n=300"),
     (["codim-counts", "--n", "300"], "need 1 <= n <= 255, got n=300"),
-    # or by the words and the basis, which name their values
-    (["thin-isometry", "--n", "300"], "need 1 <= n <= 255 and k >= 0, got n=300, k=0"),
-    (["ball-search", "--n", "300"], "need 1 <= n <= 255 and N >= 0, got n=300, N=2"),
+    # refused up front, not by the words built over it or the factor basis
+    (["thin-isometry", "--n", "300"], "need 1 <= n <= 255, got n=300"),
+    (["ball-search", "--n", "300"], "need 1 <= n <= 255, got n=300"),
+    (["ball-search", "--n", "0"], "need 1 <= n <= 255, got n=0"),
+    # one letter, refused before a word the user never gave uses z2
+    (["flip-examples", "--n", "1"], "the construction uses z2; need n >= 2, got n=1"),
+    (["cesaro", "--n", "1"], "the default symbol uses z2; need n >= 2, got n=1"),
+    (["ideal-counterexample", "--n", "1"], "the construction uses z2; need n >= 2, got n=1"),
+    (["ball-search", "--n", "1"], "the witness pair uses z2; need n >= 2, got n=1"),
+    # the search's bounds, with the values they were given
+    (["ball-search", "--degree", "0"], "need |w| <= 2*degree <= N, got |w|=2, degree=0, N=5"),
+    (["ball-search", "--level", "3"], "need |w| <= 2*degree <= N, got |w|=2, degree=2, N=3"),
     # numpy's own message for a negative seed names no flag
     (["ball-search", "--seed", "-1"], "need seed >= 0, got -1"),
     (["eigenvector", "--seed", "-1"], "need seed >= 0, got -1"),
@@ -405,14 +414,21 @@ def test_cli_refuses_nan_lam(capsys):
     (["codim-counts", "--level", "0"], "need N >= 1, got 0"),
     (["adjoint-decay", "--level", "0"], "need N >= 1, got 0"),
     (["adjoint-decay", "--level", "-1"], "need N >= 1, got -1"),
+    # not by the first word of the flip check past the truncation
+    (["flip-examples", "--level", "0"], "need N >= 2, got 0"),
+    (["flip-examples", "--level", "1"], "need N >= 2, got 1"),
+    (["flip-examples", "--level", "-1"], "need N >= 2, got -1"),
     # the alphabet before the default lam built over it, and before numpy
     (["eigenvector", "--n", "-1"], "need 1 <= n <= 255, got n=-1"),
     (["eigenvector", "--n", "-1", "--seed", "3"], "need 1 <= n <= 255, got n=-1"),
 ], ids=["thin-isometry-kmax", "cesaro-n", "cesaro-n-300", "membership-witness-n-300",
         "ideal-counterexample-n-300", "flip-examples-n-300", "codim-counts-n-300",
-        "thin-isometry-n-300", "ball-search-n-300", "ball-search-seed", "eigenvector-seed",
+        "thin-isometry-n-300", "ball-search-n-300", "ball-search-n-0", "flip-examples-n-1",
+        "cesaro-n-1", "ideal-counterexample-n-1", "ball-search-n-1", "ball-search-degree-0",
+        "ball-search-level-3", "ball-search-seed", "eigenvector-seed",
         "eigenvector-level", "codim-counts-level", "adjoint-decay-level-0",
-        "adjoint-decay-level-negative", "eigenvector-n", "eigenvector-n-seed"])
+        "adjoint-decay-level-negative", "flip-examples-level-0", "flip-examples-level-1",
+        "flip-examples-level-negative", "eigenvector-n", "eigenvector-n-seed"])
 def test_cli_input_messages_name_the_flags_given(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"fockalg {argv[0]}: error: {message}\n"

@@ -590,15 +590,30 @@ def test_spectral_norm_splits_off_isolated_rows_and_columns(seed, columns, rows,
 
 
 def test_spectral_norm_of_dense_over_cap_is_its_csr_twins():
-    # the storage changes nothing: a dense matrix over DENSE_CAP and its CSR
-    # twin hand the same 12 x 12 rest to the full SVD
+    # the storage changes nothing: a dense matrix over DENSE_CAP, complex or
+    # real, and its CSR, CSC, COO and csr_array twins hand the same 12 x 12
+    # rest to the full SVD
+    twins = (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.csr_array)
     for seed in range(40):
         rng = np.random.default_rng(seed)
         m = np.zeros((operators.DENSE_CAP + 1, 12), dtype=complex)
         m[rng.choice(m.shape[0], 12, replace=False)] = _complex(rng, (12, 12))
-        got = operators._spectral_norm(m)
-        assert got == operators._spectral_norm(sp.csr_matrix(m)), seed
-        assert abs(got - np.linalg.norm(m, 2)) <= 1e-12 * got
+        for dense in (m, m.real.copy()):
+            got = operators._spectral_norm(dense)
+            for twin in twins:
+                assert got == operators._spectral_norm(twin(dense)), (seed, twin)
+            assert abs(got - np.linalg.norm(dense, 2)) <= 1e-12 * got
+        # one entry stored twice is summed, as the matrix it stands for holds
+        coo = sp.coo_matrix(m)
+        k = int(rng.integers(coo.nnz))
+        rows, cols = np.append(coo.row, coo.row[k]), np.append(coo.col, coo.col[k])
+        twice = sp.coo_matrix((np.append(coo.data, 0.5 - 2j), (rows, cols)), shape=m.shape)
+        assert twice.nnz == coo.nnz + 1
+        want = np.linalg.norm(twice.toarray(), 2)
+        assert abs(operators._spectral_norm(twice) - want) <= 1e-14 * want
+    # a diagonal entry stored twice couples with itself: never a lone entry
+    diag = sp.coo_matrix(([1.0, 0.5, 0.7], ([0, 1, 1], [0, 1, 1])), shape=(8191, 8191))
+    assert operators._spectral_norm(diag) == 1.2
 
 
 def _column_and_row_norms(s, side, n, N):
@@ -613,7 +628,7 @@ def _column_and_row_norms(s, side, n, N):
 def test_homogeneous_norm_over_cap_needs_no_svds(monkeypatch, rng, side):
     # every row of a homogeneous compression holds one entry, so each column
     # is a block of its own with the coefficients' l2 norm
-    monkeypatch.setattr(operators, "_write_out", refuse_write_out)
+    monkeypatch.setattr(operators, "_compression", refuse_write_out)
     s = FreeSeries.make(2, {w: complex(*rng.standard_normal(2))
                             for w in enumerate_words(2, 3)[::3]})
     X = series_to_op(s, 2, 13, side)  # basis 16383
@@ -1054,7 +1069,7 @@ def test_op_norm_over_cap_splits_without_writing_out(N, side, seed, kind, degree
     want = max(norms.max() for norms in _column_and_row_norms(s, side, 2, N))
     X = series_to_op(s, 2, N, side)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(operators, "_write_out", refuse_write_out)
+        patch.setattr(operators, "_compression", refuse_write_out)
         got = op_norm(X)
     assert X._matrix is None
     assert abs(got - want) <= 1e-12 * want
@@ -1149,7 +1164,7 @@ def test_op_norm_over_cap_prefix_free_reads_only_the_words(N, side):
     X = series_to_op(s, 2, N, side)  # basis 131071 and 524287
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(operators, "_positions", _refuse_positions)
-        patch.setattr(operators, "_write_out", refuse_write_out)
+        patch.setattr(operators, "_compression", refuse_write_out)
         got = op_norm(X)
     assert X._matrix is None
     assert abs(got - s.l2_norm()) <= 1e-15 * s.l2_norm()
@@ -1170,12 +1185,13 @@ def test_op_norm_over_cap_without_split_writes_out_only_the_rest(side):
     # the basis
     s = FreeSeries.make(2, {Word(): 1.0, word(1): 1.0, word(2): 1.0, word(1, 2): 1.0})
     sizes = []
-    write_out = operators._write_out
+    compression = operators._compression
     for N in (12, 13):  # basis 8191 and 16383
         X = series_to_op(s, 2, N, side)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(operators, "_write_out",
-                          lambda size, *args: sizes.append(size) or write_out(size, *args))
+            # the arguments are (words, side, n, N)
+            patch.setattr(operators, "_compression", lambda *args: sizes.append(
+                BasisIndexer(*args[2:]).size) or compression(*args))
             got = op_norm(X)
         assert X._matrix is None
         want = ONE_L1_L2_L12[side, N]
@@ -1272,18 +1288,23 @@ def test_op_from_matrix_checks_the_shape():
     assert commutant_residual(op_from_matrix(np.eye(127, dtype=complex), 2, 6)) == 0.0
 
 
-def test_norms_do_not_import_scipy_sparse_linalg():
-    # the package's norms and commutant need only numpy and scipy.sparse
+def test_fockalg_runs_without_importing_scipy(tmp_path):
+    # the package needs only numpy: its norms over DENSE_CAP, the commutant of
+    # a symbol and of a caller's matrix, and run-all import no scipy module
     code = ("import sys\n"
-            "import fockalg\n"
-            "from fockalg.operators import FreeSeries, commutant_residual, op_norm, series_to_op\n"
+            "import numpy as np\n"
+            "import fockalg, fockalg.cli\n"
+            "from fockalg.operators import (FreeSeries, commutant_residual, op_from_matrix,\n"
+            "                               op_norm, series_to_op)\n"
             "from fockalg.words import Word, word\n"
             "s = FreeSeries.make(2, {Word(): 1.0, word(1): 1.0, word(2): 1.0, word(1, 2): 1.0})\n"
             "assert abs(op_norm(series_to_op(s, 2, 12)) - 3.0412437563876433) <= 1e-14 * 3.05\n"
             "assert commutant_residual(series_to_op(s, 2, 6)) <= 1e-12\n"
-            "print('scipy.sparse.linalg' in sys.modules)\n")
+            "assert commutant_residual(op_from_matrix(np.eye(127), 2, 6)) == 0.0\n"
+            "assert fockalg.cli.main(['run-all']) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
     src = str(Path(fockalg.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                         check=True)
-    assert out.stdout == "False\n", out.stderr
+                         cwd=tmp_path, check=True)
+    assert out.stdout.splitlines()[-1] == "[]", out.stderr

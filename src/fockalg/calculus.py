@@ -249,8 +249,10 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
     """
     if not len(w) <= 2 * degree <= N:
         raise ValueError(f"need |w| <= 2*degree <= N, got |w|={len(w)}, degree={degree}, N={N}")
-    if restarts < 1 or max_iter < 1:
-        raise ValueError(f"need restarts >= 1 and max_iter >= 1, got {restarts} and {max_iter}")
+    if restarts < 1:
+        raise ValueError(f"need restarts >= 1, got {restarts}")
+    if max_iter < 1:
+        raise ValueError(f"need max_iter >= 1, got {max_iter}")
     if seed < 0:
         raise ValueError(f"need seed >= 0, got {seed}")
     problem = _BallProblem(w, degree, n, N)

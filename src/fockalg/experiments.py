@@ -150,7 +150,7 @@ def exp_codim_counts(symbol: FreeSeries | None = None, n: int = 2, N: int = 5,
     scalar part; each level-k complement has dimension >= n^k - (n^k-1)/(n-1)."""
     tol = tolerance(tol)
     if n < 2:
-        raise ValueError("codimension counts need n >= 2")
+        raise ValueError(f"codimension counts need n >= 2, got n={n}")
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     if symbol is None:
@@ -192,11 +192,11 @@ def exp_factor_generator(K: int = 64, N: int | None = None, tol: float = 1e-9) -
     and A = sum_{k<K} L1^k L2 / (k+1); exact coefficientwise down to depth K."""
     tol = tolerance(tol)
     if K < 1:
-        raise ValueError("need K >= 1")
+        raise ValueError(f"need K >= 1, got {K}")
     if N is None:
         N = K + 2
     if N < K + 1:
-        raise ValueError("need N >= K + 1 so that depth K stays exact")
+        raise ValueError(f"need N >= K + 1 so that depth K stays exact, got N={N}, K={K}")
     n = 2
     f = harmonic_series(K)
     g = reciprocal(f, K)
@@ -241,7 +241,7 @@ def exp_thin_isometry(n: int = 2, kmax: int = 2, N: int | None = None,
     if N is None:
         N = 3 * kmax + 1
     if N < 3 * kmax + 1:
-        raise ValueError(f"need N >= 3*kmax+1 = {3 * kmax + 1}")
+        raise ValueError(f"need N >= 3*kmax+1 = {3 * kmax + 1}, got N={N}")
     coeffs: dict[bytes, complex] = {}
     xk_norms = []
     for k in range(kmax + 1):
@@ -316,7 +316,8 @@ def exp_ideal_counterexample(a: FreeSeries | None = None, n: int = 2, N: int = 1
         raise ValueError("need a nonzero finitely supported coefficient vector")
     v = a.support()[0]
     if N < len(v) + 1:
-        raise ValueError(f"need N >= |v| + 1 = {len(v) + 1} to check the identity on a vector")
+        raise ValueError(f"need N >= |v| + 1 = {len(v) + 1} to check the identity on a vector, "
+                         f"got N={N}")
     lam = [IDEAL_SCALE / (k + 1) for k in range(N + 1)]
     tail = FreeSeries.make(n, {Word((2,) + (1,) * k): lam[k] for k in range(N)})
     J = series_to_op(FreeSeries.make(n, a.coeffs).mul(tail, max_degree=N), n, N)
@@ -466,7 +467,7 @@ def exp_cesaro(s: FreeSeries | None = None, n: int = 2, kmax: int = 64) -> Repor
         s = FreeSeries.make(n, coeffs)
     d = s.degree()
     if kmax <= d:
-        raise ValueError(f"need kmax > support degree {d}")
+        raise ValueError(f"need kmax > support degree {d}, got kmax={kmax}")
     errors = [(cesaro_sum(s, k) - s).l2_norm() for k in range(1, kmax + 1)]
     tail_ok = all(errors[k] <= errors[k - 1] + 1e-15 for k in range(d + 1, len(errors)))
     bound = (d / kmax) * s.l2_norm() + 1e-12

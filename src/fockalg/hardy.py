@@ -100,7 +100,7 @@ def boundary_modulus(theta: float) -> float:
 def _check_grid(grid: int) -> None:
     """8 <= grid <= the basis cap, the package's one bound on a run's size."""
     if grid < 8:
-        raise ValueError("need at least 8 grid points")
+        raise ValueError(f"need at least 8 grid points, got {grid}")
     limit = basis_cap()
     if grid > limit:
         raise BasisCapExceeded(f"grid of {grid} points exceeds cap {limit}")

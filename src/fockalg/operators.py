@@ -6,7 +6,8 @@ realized on the basis {xi_w : |w| <= N} in one of two ways:
 
 * symbol-backed: the symbol is kept and acts by word concatenation at any
   truncation level; its compression norm is read from the symbol at every
-  size, and _compression writes its matrix out, dense, only up to DENSE_CAP,
+  size (level_split_sigma, which writes out at most the compression one level
+  down), and _compression writes its matrix out, dense, only up to DENSE_CAP,
 * matrix-backed: a caller's compression matrix for an operator with no symbol,
   a numpy array or a scipy.sparse matrix read through its own tocoo() and
   toarray(); it is only measured (norms, commutant): ``TruncOp.symbol`` and the
@@ -165,74 +166,59 @@ def level_split_sigma(words: list[Word], side: str, n: int, N: int):
     """vals -> sigma_max of the compression of sum_i vals[i] S_{words[i]} on F^2_N
     (distinct words of length <= N), planned once, exact at every size.
 
-    A prefix-free support (suffix-free for R) splits whole: the S_w are
-    isometries with orthogonal ranges, so every row holds at most one entry
-    and sigma is the column xi_0's 2-norm, sum |vals|^2 in word order, with
-    nothing written out (N = 0 included).  No other support does: if w = u t,
-    the entry (w, xi_0) shares its row with column t's entry and its column
-    with row u's.  Any other support is split by last letter for L (first for
-    R): F^2_N = C xi_0 + sum_i F^2_{N-1} z_i, and the compression is
-    [[a_0, 0], [c, I_n (x) M]], M the one on F^2_{N-1}, c_i[u] = a_{ui}
-    (a_{iu} for R).  Over DENSE_CAP, _transfer_sigma repeats the split down to
-    the symbol's degree.  Below it, with M^H M = V diag(g) V^H, sigma_max^2 is
-    the top eigenvalue of [[sum |a_w|^2, sqrt(w)^T], [sqrt(w), diag(g)]], w_j
-    the sum over i of |(c_i^H M V)_j|^2; M's all-zero columns add only zeros."""
+    R's words are read reversed, as L's: the flip xi_v -> xi_{v reversed} is
+    unitary and takes R_w to L_{w reversed}.  A prefix-free support splits
+    whole: the L_w are isometries with orthogonal ranges, so every row holds
+    at most one entry and sigma is the column xi_0's 2-norm, sum |vals|^2 in
+    word order, with nothing written out (N = 0 included).  No other support
+    does: if w = u t, the entry (w, xi_0) shares its row with column t's entry
+    and its column with row u's.  Any other one (degree d >= 1) splits by last
+    letter, F^2_k = C xi_0 + sum_j F^2_{k-1} z_j: with G_k the Gram matrix on
+    F^2_k and s = sum |a_w|^2, lam - G_k = [[lam - s, -y^H], [-y, I_n (x) (lam
+    - G_{k-1})]], y_j = M_{k-1}^H c_j, c_j[u] = a_{uj}, M_k the compression on
+    F^2_k.  Only M = M_base is written out, base = N - 1 up to DENSE_CAP and
+    d - 1 over it, and M^H M = V diag(g) V^H.
+
+    At base = N - 1, sigma_max^2 is the top eigenvalue of [[s, sqrt(w)^T],
+    [sqrt(w), diag(g)]], w_j = sum_i |(c_i^H M V)_j|^2; M's all-zero columns
+    add only zeros.  Below it, each y_j lies in W = F^2_base, so for lam >
+    g_max, lam - G_N > 0 exactly when each pivot lam - s - sum_j y_j^H Q y_j,
+    k = base + 1..N, is > 0, where the block inverse carries Q = P_W (lam -
+    G_{k-1})^{-1} P_W up a level: t t^H / pivot, t = (1, (Q y_j)[u]), plus Q's
+    block on F^2_{base-1} at W's words u j for each j.  sigma^2 is bisected
+    in [max(s, g_max), (sum |a_w|)^2] to adjacent floats."""
     size = BasisIndexer(n, N).size  # the basis cap refuses a compression that splits whole too
-    ends = sorted(words) if side == LEFT else sorted(w[::-1] for w in words)
-    if not any(v.startswith(u) for u, v in zip(ends, ends[1:])):  # a prefix starts its successor
+    words = words if side == LEFT else [w[::-1] for w in words]
+    ordered = sorted(words)
+    if not any(v.startswith(u) for u, v in zip(ordered, ordered[1:])):  # a prefix starts its successor
         # one bin adds in word order, as a bincount of column xi_0 does: one float
         return lambda vals: math.sqrt(np.bincount(np.zeros(len(vals), int), np.abs(vals) ** 2, 1)[0])
-    if size > DENSE_CAP:
-        return _transfer_sigma(words, side, n, N)
-    rest, lower = BasisIndexer(n, N - 1), _compression(words, side, n, N - 1)
+    base = N - 1 if size <= DENSE_CAP else max(map(len, words)) - 1
+    lower, W = _compression(words, LEFT, n, base), BasisIndexer(n, base)
     nonempty = np.array([i for i, w in enumerate(words) if w], dtype=int)
-    # c laid out by (split letter, rest) in an (n, dim) array
-    splits = [(w[-1], w[:-1]) if side == LEFT else (w[0], w[1:]) for w in words if w]
-    tails = np.array([(i - 1) * rest.size + rest.index_of(u) for i, u in splits], dtype=int)
-
-    def sigma(vals: np.ndarray) -> float:
-        M = lower(vals)
-        M = M[:, M.any(axis=0)]
-        c = np.zeros(n * rest.size, dtype=complex)
-        c[tails] = vals[nonempty]
-        g, V = np.linalg.eigh(M.conj().T @ M)
-        arrow = np.diag(np.concatenate(([np.vdot(vals, vals).real], g)))
-        arrow[0, 1:] = arrow[1:, 0] = np.linalg.norm(c.reshape(n, -1).conj() @ M @ V, axis=0)
-        return math.sqrt(np.linalg.eigvalsh(arrow)[-1])
-    return sigma
-
-
-def _transfer_sigma(words: list[Word], side: str, n: int, N: int):
-    """vals -> level_split_sigma's sigma_max (degree d >= 1), writing out only
-    the compression M on W = F^2_{d-1}; R's words are read reversed, as L's
-    (the flip xi_v -> xi_{v reversed} takes R_w to L_{w reversed}).
-
-    With G_k the Gram matrix on F^2_k, the split gives lam - G_k = [[lam - s,
-    -y^H], [-y, I_n (x) (lam - G_{k-1})]], s = sum |a_w|^2, and each
-    y_j = M^H c_j lies in W for k >= d.  So for lam > lambda_max(G_{d-1}),
-    lam - G_N > 0 exactly when each pivot lam - s - sum_j y_j^H Q y_j,
-    k = d..N, is > 0, where the block inverse carries Q = P_W (lam -
-    G_{k-1})^{-1} P_W up a level: t t^H / pivot, t = (1, (Q y_j)[u]), plus
-    Q's block on F^2_{d-2} at W's words u j for each j.  sigma^2 is bisected
-    in [max(s, lambda_max(G_{d-1})), (sum |a_w|)^2] to adjacent floats."""
-    words = words if side == LEFT else [w[::-1] for w in words]
-    d = max(map(len, words))
-    base, W = _compression(words, LEFT, n, d - 1), BasisIndexer(n, d - 1)
-    # W's index of u j for each u in F^2_{d-2}, in order: where R_j sends it
-    ends = np.array([_positions([Word((j,))], RIGHT, n, d - 1)[2] for j in range(1, n + 1)])
-    inner = ends.shape[1]
-    nonempty = np.array([i for i, w in enumerate(words) if w], dtype=int)
+    # c laid out by (last letter, rest) in an (n, dim W) array
     tails = np.array([(w[-1] - 1) * W.size + W.index_of(w[:-1]) for w in words if w], dtype=int)
+    if base < N - 1:
+        # W's index of u j for each u in F^2_{base-1}, in order: where R_j sends it
+        ends = np.array([_positions([Word((j,))], RIGHT, n, base)[2] for j in range(1, n + 1)])
+        inner = ends.shape[1]
 
     def sigma(vals: np.ndarray) -> float:
-        M, c = base(vals), np.zeros(n * W.size, dtype=complex)
+        M, c = lower(vals), np.zeros(n * W.size, dtype=complex)
         c[tails] = vals[nonempty]
+        if base == N - 1:
+            M = M[:, M.any(axis=0)]
         g, V = np.linalg.eigh(M.conj().T @ M)
-        Y, s = c.reshape(n, -1) @ M.conj(), np.vdot(vals, vals).real
+        s = np.vdot(vals, vals).real
+        if base == N - 1:
+            arrow = np.diag(np.concatenate(([s], g)))
+            arrow[0, 1:] = arrow[1:, 0] = np.linalg.norm(c.reshape(n, -1).conj() @ M @ V, axis=0)
+            return math.sqrt(np.linalg.eigvalsh(arrow)[-1])
+        Y = c.reshape(n, -1) @ M.conj()
 
         def definite(lam: float) -> bool:
             Q = (V / (lam - g)) @ V.conj().T  # lam > g[-1], the lower end
-            for _ in range(d, N + 1):
+            for _ in range(base + 1, N + 1):
                 Z = Y @ Q.T  # row j is Q y_j, as row j of Y is y_j
                 pivot = lam - s - np.vdot(Y, Z).real
                 if not pivot > 0:
@@ -391,9 +377,10 @@ def op_norm(X: TruncOp) -> float:
     """Largest singular value of the compression (a lower bound for the norm
     of the untruncated operator, labelled 'compression norm' in reports), taken
     once per operator.  A symbol's is exact at every size (level_split_sigma):
-    the word test for a prefix-free support (suffix-free for R), else the
-    level split below DENSE_CAP and the transfer recursion over it.  A
-    matrix-backed X's is _spectral_norm of its matrix, one dense SVD at most."""
+    the word test for a prefix-free support (suffix-free for R), else the split
+    by last letter (first for R), ending in an arrowhead eigenvalue up to
+    DENSE_CAP and in the recursion over it.  A matrix-backed X's is
+    _spectral_norm of its matrix, one dense SVD at most."""
     if X._norm is None:
         if X._symbol is None:
             X._norm = _spectral_norm(X.matrix)

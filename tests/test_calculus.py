@@ -547,8 +547,11 @@ def test_search_at_level_zero():
 def test_search_validates_sizes():
     with pytest.raises(ValueError):
         search_ball_factorizations(word(1, 2, 1), 1, 2, 5)
-    for restarts, max_iter in [(0, 300), (-1, 300), (4, 0)]:
-        with pytest.raises(ValueError, match="restarts >= 1 and max_iter >= 1"):
+    # each argument is named alone, with its own value
+    for restarts, max_iter, message in [(0, 300, "need restarts >= 1, got 0"),
+                                        (-1, 300, "need restarts >= 1, got -1"),
+                                        (4, 0, "need max_iter >= 1, got 0")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
             search_ball_factorizations(word(1, 2), 2, 2, 5, restarts=restarts, max_iter=max_iter)
 
 

@@ -421,6 +421,19 @@ def test_cli_refuses_nan_lam(capsys):
     # the alphabet before the default lam built over it, and before numpy
     (["eigenvector", "--n", "-1"], "need 1 <= n <= 255, got n=-1"),
     (["eigenvector", "--n", "-1", "--seed", "3"], "need 1 <= n <= 255, got n=-1"),
+    # each argument alone, not joined with one the CLI has no flag for
+    (["ball-search", "--restarts", "0"], "need restarts >= 1, got 0"),
+    # bounds stated with the value given
+    (["ideal-counterexample", "--level", "0"],
+     "need N >= |v| + 1 = 2 to check the identity on a vector, got N=0"),
+    (["thin-isometry", "--level", "3"], "need N >= 3*kmax+1 = 7, got N=3"),
+    (["cesaro", "--kmax", "5"], "need kmax > support degree 8, got kmax=5"),
+    (["factor-generator", "--terms", "0"], "need K >= 1, got 0"),
+    (["factor-generator", "--level", "3"],
+     "need N >= K + 1 so that depth K stays exact, got N=3, K=64"),
+    (["codim-counts", "--n", "1"], "codimension counts need n >= 2, got n=1"),
+    (["ideal-counterexample", "--grid", "0"], "need at least 8 grid points, got 0"),
+    (["flip-examples", "--grid", "0"], "need at least 8 grid points, got 0"),
 ], ids=["thin-isometry-kmax", "cesaro-n", "cesaro-n-300", "membership-witness-n-300",
         "ideal-counterexample-n-300", "flip-examples-n-300", "codim-counts-n-300",
         "thin-isometry-n-300", "ball-search-n-300", "ball-search-n-0", "flip-examples-n-1",
@@ -428,7 +441,10 @@ def test_cli_refuses_nan_lam(capsys):
         "ball-search-level-3", "ball-search-seed", "eigenvector-seed",
         "eigenvector-level", "codim-counts-level", "adjoint-decay-level-0",
         "adjoint-decay-level-negative", "flip-examples-level-0", "flip-examples-level-1",
-        "flip-examples-level-negative", "eigenvector-n", "eigenvector-n-seed"])
+        "flip-examples-level-negative", "eigenvector-n", "eigenvector-n-seed",
+        "ball-search-restarts-0", "ideal-counterexample-level-0", "thin-isometry-level-3",
+        "cesaro-kmax-5", "factor-generator-terms-0", "factor-generator-level-3",
+        "codim-counts-n-1", "ideal-counterexample-grid-0", "flip-examples-grid-0"])
 def test_cli_input_messages_name_the_flags_given(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"fockalg {argv[0]}: error: {message}\n"

@@ -1042,6 +1042,9 @@ def _assert_op_norm_is_full_svd(s, n, N, side):
     assert X._matrix is None  # taken from the symbol; nothing was written out
     want = np.linalg.norm(series_to_op(s, n, N, side).dense(), 2)
     assert abs(got - want) <= 1e-12 * want
+    if side == "right":  # the flip xi_v -> xi_{v reversed} takes R_w to L_{w reversed}
+        flipped = FreeSeries.make(n, {w[::-1]: a for w, a in s.coeffs.items()})
+        assert got == op_norm(series_to_op(flipped, n, N, "left"))
 
 
 @settings(deadline=None, max_examples=60)
@@ -1225,14 +1228,18 @@ def test_sparse_norm_is_reproducible():
        extra=st.integers(0, 2))
 def test_transfer_sigma_is_the_full_svd(data, n, side, seed, kind, extra):
     # below the cap, where the full SVD of the written-out compression is the
-    # oracle; the recursion itself never looks at the cap
+    # oracle; the size rule alone picks the recursion, so a cap one under the
+    # basis sends the plan there (base d - 1), and at extra = 0 (d = N, base
+    # N - 1) to the arrowhead
     degree = data.draw(st.integers(1, {1: 9, 2: 6, 3: 4}[n] - extra), label="degree")
     rng = np.random.default_rng(seed)
     words = random_support(rng, n, degree, kind, side)
     vals = rng.standard_normal(len(words)) + 1j * rng.standard_normal(len(words))
     N = degree + extra
-    got = operators._transfer_sigma(words, side, n, N)(vals)
     want = np.linalg.norm(operators._compression(words, side, n, N)(vals), 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "DENSE_CAP", BasisIndexer(n, N).size - 1)
+        got = operators.level_split_sigma(words, side, n, N)(vals)
     assert abs(got - want) <= 1e-12 * want
 
 

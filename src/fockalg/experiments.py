@@ -41,7 +41,8 @@ from .operators import (
     symbol_norm_bound,
 )
 from .report import Report
-from .words import MAX_LETTER, BasisIndexer, Word, enumerate_words, reverse
+from .words import (MAX_LETTER, BasisCapExceeded, BasisIndexer, Word, basis_cap, enumerate_words,
+                    reverse)
 
 ZETA2 = math.pi**2 / 6.0  # sum_{k>=0} 1/(k+1)^2
 IDEAL_SCALE = 1.0 / math.sqrt(ZETA2)
@@ -65,6 +66,21 @@ def _check_alphabet(n: int, uses_z2: str | None = None) -> None:
         raise ValueError(f"{uses_z2} uses z2; need n >= 2, got n={n}")
 
 
+def _check_size(what: str, size: int) -> None:
+    """Refuse a flag whose list or words grow to size past the basis cap, the
+    package's one bound on a run's size; what names the flag's value."""
+    limit = basis_cap()
+    if size > limit:
+        raise BasisCapExceeded(f"{what} exceeds cap {limit}")
+
+
+def _check_triangle(flag: str, k: int) -> None:
+    """Refuse a flag k whose words k, k - 1, ..., 1 letters long total k(k+1)/2
+    letters past the basis cap."""
+    _check_size(f"{flag}={k} builds words of total length {flag}({flag}+1)/2 = "
+                f"{k * (k + 1) // 2}, which", k * (k + 1) // 2)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -84,6 +100,7 @@ def exp_adjoint_decay(lam: complex = 0.5, N: int = 4, kmax: int = 200,
         raise ValueError(f"need N >= 1, got {N}")
     if kmax < 0:
         raise ValueError(f"need kmax >= 0, got {kmax}")
+    _check_size(f"kmax={kmax}", kmax)
     mu = math.sqrt(1.0 - abs(lam) ** 2)
     n = 2
     L = series_to_op(FreeSeries.make(n, {Word(): lam, Z1: mu}), n, N)
@@ -155,6 +172,10 @@ def exp_codim_counts(symbol: FreeSeries | None = None, n: int = 2, N: int = 5,
         raise ValueError(f"need N >= 1, got {N}")
     if symbol is None:
         symbol = FreeSeries.delta(n, Z1)
+    d = symbol.degree()
+    if N < d + 1:
+        raise ValueError(f"need N >= d + 1 = {d + 1} so that truncation N - 1 holds the "
+                         f"symbol, got N={N}")
     L = series_to_op(symbol, n, N)
     check_isometric_on_frontier(L)
 
@@ -193,6 +214,7 @@ def exp_factor_generator(K: int = 64, N: int | None = None, tol: float = 1e-9) -
     tol = tolerance(tol)
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
+    _check_triangle("K", K)
     if N is None:
         N = K + 2
     if N < K + 1:
@@ -318,6 +340,7 @@ def exp_ideal_counterexample(a: FreeSeries | None = None, n: int = 2, N: int = 1
     if N < len(v) + 1:
         raise ValueError(f"need N >= |v| + 1 = {len(v) + 1} to check the identity on a vector, "
                          f"got N={N}")
+    _check_triangle("N", N)
     lam = [IDEAL_SCALE / (k + 1) for k in range(N + 1)]
     tail = FreeSeries.make(n, {Word((2,) + (1,) * k): lam[k] for k in range(N)})
     J = series_to_op(FreeSeries.make(n, a.coeffs).mul(tail, max_degree=N), n, N)
@@ -371,6 +394,7 @@ def exp_membership_witness(b_list: list[FreeSeries] | None = None,
     sum_i B_i L2 C_i.  Polynomial diagonals always fail beyond their degree."""
     if K < 0:
         raise ValueError(f"need K >= 0, got {K}")
+    _check_triangle("K", K)  # the words z1^k, k <= K
     if (b_list is None) != (c_list is None):
         raise ValueError("provide both candidate lists or neither")
     if b_list is None:
@@ -408,7 +432,12 @@ def exp_membership_witness(b_list: list[FreeSeries] | None = None,
 def exp_eigenvector(lam_tuple: tuple[complex, ...] | None = None, n: int = 2,
                     N: int = 12, seed: int | None = None, tol: float = 1e-12) -> Report:
     """Eigenvector of the right-algebra adjoints: coefficients are conjugated
-    letter products of lam, and stripping the suffix z_i scales by conj(lam_i)."""
+    letter products of lam, and stripping the suffix z_i scales by conj(lam_i).
+
+    The vector sum_{k<=N} z^k, z = sum_i conj(lam_i) z_i, is built one level
+    at a time, each power merged into one map as it is made and then dropped.
+    Letter i's residual is max_w |(R_i* vec)_w - conj(lam_i) vec_w| over words
+    shorter than N, taken in one pass over the union of both supports."""
     tol = tolerance(tol)
     _check_alphabet(n)
     if N < 1:
@@ -430,18 +459,26 @@ def exp_eigenvector(lam_tuple: tuple[complex, ...] | None = None, n: int = 2,
     if not lam_norm < 1:
         raise ValueError(f"need ||lam|| < 1, got {lam_norm}")
     BasisIndexer(n, N)  # raises BasisCapExceeded before any level is built
-    # the powers of z = sum_i conj(lam_i) z_i, each level once
+    # the powers of z = sum_i conj(lam_i) z_i, each level made once and merged
+    # into one map as it is made; a product's coefficient is already 0.0 + a
+    # sum, so the merge writes what adding it to 0.0 would write
     z = FockVector.make(n, N, {Word((i,)): t.conjugate() for i, t in enumerate(lam_tuple, 1)})
-    power = raw = FockVector.basis(n, N, Word())
+    power = one = FockVector.basis(n, N, Word())
+    raw = dict(one.coeffs)
     for _ in range(N):
         power = power.mul(z)
-        raw = raw.add(power)
-    vec = raw.scale(1.0 / raw.norm())
+        raw.update(power.coeffs)
+    vec = one._like(raw)
+    vec = vec.scale(1.0 / vec.norm())
+    low = vec.truncate(N - 1).coeffs
     residuals = []
     for i in range(1, n + 1):
-        lhs = creation_op(RIGHT, Word((i,)), n, N).apply_adjoint(vec)
-        # R_i* vec lives on the levels below N, where it equals conj(lam_i) vec
-        residuals.append(lhs.sub(vec.truncate(N - 1).scale(lam_tuple[i - 1].conjugate())).sup_abs())
+        lhs = creation_op(RIGHT, Word((i,)), n, N).apply_adjoint(vec).coeffs
+        # R_i* vec lives on the levels below N, where it equals conj(lam_i) vec:
+        # max |lhs_w - conj(lam_i) vec_w| over both supports, in one pass
+        bar = lam_tuple[i - 1].conjugate()
+        residuals.append(max((abs(lhs.get(w, 0.0) - bar * low.get(w, 0.0))
+                              for w in lhs.keys() | low.keys()), default=0.0))
     eigen_residual = max(residuals)
     verdict = eigen_residual <= tol
     return Report(
@@ -468,6 +505,7 @@ def exp_cesaro(s: FreeSeries | None = None, n: int = 2, kmax: int = 64) -> Repor
     d = s.degree()
     if kmax <= d:
         raise ValueError(f"need kmax > support degree {d}, got kmax={kmax}")
+    _check_size(f"kmax={kmax}", kmax)
     errors = [(cesaro_sum(s, k) - s).l2_norm() for k in range(1, kmax + 1)]
     tail_ok = all(errors[k] <= errors[k - 1] + 1e-15 for k in range(d + 1, len(errors)))
     bound = (d / kmax) * s.l2_norm() + 1e-12

@@ -16,7 +16,12 @@ symbol-backed operators) pass that check by closure, so they are built by
 
 Two kernels make every such map past a sum, scaling or truncation: products
 ``_convolve`` (series products and the images S xi) and strips ``_strips``
-(the images S* xi and both halves of ``operators.gram``).
+(the images S* xi and both halves of ``operators.gram``).  Each takes a
+made-once path where the words fix every split: ``_convolve`` when all words
+on one side have one length, ``_strips`` for a symbol of one word (and one
+slice per vector word for a symbol of one length).  Those paths write each
+coefficient once, with the float and the key order of the general loops,
+``_convolve_loop`` and ``_strips_loop``, which every other input takes.
 """
 
 from __future__ import annotations
@@ -60,7 +65,28 @@ def _check_space(a: "FreeSeries", b: "FreeSeries") -> None:
 def _convolve(left: dict[bytes, complex], right: dict[bytes, complex],
               max_len: float) -> dict[bytes, complex]:
     """Free convolution of two checked maps: out_w = sum over factorizations
-    w = uv of left_u right_v, dropping every w longer than max_len."""
+    w = uv of left_u right_v, dropping every w longer than max_len.
+
+    When every word on one side has one length, w = uv splits only there, so
+    each w is made once and its coefficient is the loop's first write,
+    0.0 + a * b, in the loop's key order; other maps take ``_convolve_loop``."""
+    lengths = set(map(len, right))
+    if len(lengths) == 1:
+        room = max_len - lengths.pop()
+        return {u + v: 0.0 + a * b for u, a in left.items() if len(u) <= room
+                for v, b in right.items()}
+    lengths = set(map(len, left))
+    if len(lengths) == 1:
+        room = max_len - lengths.pop()
+        fit = [(v, b) for v, b in right.items() if len(v) <= room]
+        return {u + v: 0.0 + a * b for u, a in left.items() for v, b in fit}
+    return _convolve_loop(left, right, max_len)
+
+
+def _convolve_loop(left: dict[bytes, complex], right: dict[bytes, complex],
+                   max_len: float) -> dict[bytes, complex]:
+    """``_convolve`` for any two maps: each out_w sums in the order of left,
+    then right."""
     out: dict[bytes, complex] = {}
     for u, a in left.items():
         room = max_len - len(u)
@@ -75,8 +101,45 @@ def _strips(symbol: dict[bytes, complex], vec: dict[bytes, complex],
             left: bool) -> dict[bytes, complex]:
     """Strips of one checked map by another, the coefficients of S_symbol* vec:
     out_t = sum over v = wt (v = tw when not left) of conj(symbol_w) vec_v.
-    Each v costs one slice and lookup per symbol length, and its matches write
-    distinct keys t, so every out_t sums in the order of vec."""
+
+    A one-word symbol strips each v at most once, so each t is made once, from
+    ``startswith`` (``endswith``).  A symbol of one length k costs one slice of
+    v and one lookup per v; its matches can meet at one t, which sums in the
+    order of vec.  Other symbols take ``_strips_loop``."""
+    if len(symbol) == 1:
+        ((w, a),) = symbol.items()
+        a_conj, k = a.conjugate(), len(w)
+        if left:
+            return {v[k:]: 0.0 + a_conj * c for v, c in vec.items() if v.startswith(w)}
+        return {v[:len(v) - k]: 0.0 + a_conj * c for v, c in vec.items() if v.endswith(w)}
+    lengths = set(map(len, symbol))
+    if len(lengths) != 1:
+        return _strips_loop(symbol, vec, left)
+    (k,) = lengths
+    conj = {w: a.conjugate() for w, a in symbol.items()}
+    out: dict[bytes, complex] = {}
+    # a slice of a v shorter than k is shorter than every word: it matches none
+    if left:
+        for v, c in vec.items():
+            a_conj = conj.get(v[:k])
+            if a_conj is not None:
+                t = v[k:]
+                out[t] = out.get(t, 0.0) + a_conj * c
+    else:
+        for v, c in vec.items():
+            m = len(v) - k
+            a_conj = conj.get(v[m:])
+            if a_conj is not None:
+                t = v[:m]
+                out[t] = out.get(t, 0.0) + a_conj * c
+    return out
+
+
+def _strips_loop(symbol: dict[bytes, complex], vec: dict[bytes, complex],
+                 left: bool) -> dict[bytes, complex]:
+    """``_strips`` for any symbol.  Each v costs one slice and lookup per symbol
+    length, and its matches write distinct keys t, so every out_t sums in the
+    order of vec."""
     conj = {w: a.conjugate() for w, a in symbol.items()}
     lengths = sorted(set(map(len, symbol)))
     out: dict[bytes, complex] = {}

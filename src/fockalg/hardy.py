@@ -68,12 +68,13 @@ def reciprocal(s: ScalarSeries, K: int | None = None) -> ScalarSeries:
     c0 = s.coeff(0)
     if abs(c0) <= 1e-12:
         raise ValueError(f"constant term {c0} too close to 0 to invert")
+    c = [s.coeff(j) for j in range(order + 1)]
     g = np.zeros(order + 1, dtype=complex)
     g[0] = 1.0 / c0
     for k in range(1, order + 1):
         acc = 0.0 + 0.0j
         for j in range(1, k + 1):
-            cj = s.coeff(j)
+            cj = c[j]
             if cj != 0:
                 acc += cj * g[k - j]
         g[k] = -acc / c0

@@ -13,6 +13,7 @@ from fockalg import calculus
 from fockalg import experiments as E
 from fockalg import operators
 from fockalg.calculus import FactorCandidate
+from fockalg.fock import FockVector
 from fockalg.cli import build_parser, main
 from fockalg.operators import FreeSeries
 from fockalg.report import Report
@@ -194,6 +195,45 @@ def test_eigenvector_independent_oracle():
     for w in enumerate_words(2, 5):
         for i in (1, 2):
             assert abs(coeffs[Word(w.letters + (i,))] - complex(lam[i - 1]).conjugate() * coeffs[w]) <= 1e-15
+
+
+def _eigenvector_by_sums(lam, n, N):
+    """exp_eigenvector's measurements built as they were before the one-pass
+    form: each level added to the sum of the levels below it, and each
+    letter's residual a truncation, two scalings, a sum and sup_abs."""
+    lam = tuple(complex(t) for t in lam)
+    z = FockVector.make(n, N, {Word((i,)): t.conjugate() for i, t in enumerate(lam, 1)})
+    power = raw = FockVector.basis(n, N, Word())
+    for _ in range(N):
+        power = power.mul(z)
+        raw = raw.add(power)
+    vec = raw.scale(1.0 / raw.norm())
+    residuals = [operators.creation_op("right", Word((i,)), n, N).apply_adjoint(vec)
+                 .sub(vec.truncate(N - 1).scale(lam[i - 1].conjugate())).sup_abs()
+                 for i in range(1, n + 1)]
+    return residuals, math.sqrt(sum(abs(t) ** 2 for t in lam))
+
+
+@pytest.mark.parametrize("lam, n, N", [
+    (None, 2, 12),
+    ((0.3 + 0.2j, -0.1 + 0.4j), 2, 14),
+    ((0.5, 0.0), 2, 10),
+    ((0.0, 0.3 + 0.2j, 0.1), 3, 7),
+    (None, 3, 8),
+    ((complex(-0.0, 0.4), complex(0.3, -0.0)), 2, 11),
+    ((0.0,), 1, 5),
+], ids=["default", "symbolic", "zero-letter", "n3-zero-letter", "n3-default", "signed-zeros",
+        "n1-zero"])
+def test_eigenvector_measurements_are_the_sums_bitwise(lam, n, N):
+    """The merged levels and the one-pass residuals give the measurements of
+    the level-by-level sums and the truncate/scale/add/sup_abs residuals, bit
+    for bit."""
+    rep = E.exp_eigenvector(lam_tuple=lam, n=n, N=N)
+    residuals, lam_norm = _eigenvector_by_sums(rep.params["lam"], n, N)
+    got = rep.measurements
+    assert [r.hex() for r in got["per_letter_residuals"]] == [r.hex() for r in residuals]
+    assert got["eigen_residual"].hex() == max(residuals).hex()
+    assert got["lam_norm"].hex() == lam_norm.hex()
 
 
 def test_cesaro_weight_example():
@@ -434,6 +474,9 @@ def test_cli_refuses_nan_lam(capsys):
     (["codim-counts", "--n", "1"], "codimension counts need n >= 2, got n=1"),
     (["ideal-counterexample", "--grid", "0"], "need at least 8 grid points, got 0"),
     (["flip-examples", "--grid", "0"], "need at least 8 grid points, got 0"),
+    # not by the comparison at truncation N - 1, which the user never set
+    (["codim-counts", "--n", "2", "--level", "1"],
+     "need N >= d + 1 = 2 so that truncation N - 1 holds the symbol, got N=1"),
 ], ids=["thin-isometry-kmax", "cesaro-n", "cesaro-n-300", "membership-witness-n-300",
         "ideal-counterexample-n-300", "flip-examples-n-300", "codim-counts-n-300",
         "thin-isometry-n-300", "ball-search-n-300", "ball-search-n-0", "flip-examples-n-1",
@@ -444,10 +487,41 @@ def test_cli_refuses_nan_lam(capsys):
         "flip-examples-level-negative", "eigenvector-n", "eigenvector-n-seed",
         "ball-search-restarts-0", "ideal-counterexample-level-0", "thin-isometry-level-3",
         "cesaro-kmax-5", "factor-generator-terms-0", "factor-generator-level-3",
-        "codim-counts-n-1", "ideal-counterexample-grid-0", "flip-examples-grid-0"])
+        "codim-counts-n-1", "ideal-counterexample-grid-0", "flip-examples-grid-0",
+        "codim-counts-level-1"])
 def test_cli_input_messages_name_the_flags_given(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"fockalg {argv[0]}: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # lists as long as the flag
+    (["cesaro", "--kmax", "21"], "kmax=21 exceeds cap 20"),
+    (["adjoint-decay", "--kmax", "21"], "kmax=21 exceeds cap 20"),
+    # words of total length k(k+1)/2
+    (["membership-witness", "--terms", "6"],
+     "K=6 builds words of total length K(K+1)/2 = 21, which exceeds cap 20"),
+    (["factor-generator", "--terms", "6"],
+     "K=6 builds words of total length K(K+1)/2 = 21, which exceeds cap 20"),
+    (["ideal-counterexample", "--level", "6"],
+     "N=6 builds words of total length N(N+1)/2 = 21, which exceeds cap 20"),
+], ids=["cesaro-kmax", "adjoint-decay-kmax", "membership-witness-terms", "factor-generator-terms",
+        "ideal-counterexample-level"])
+def test_cli_size_flags_answer_to_the_basis_cap(argv, message, monkeypatch, capsys):
+    """A flag that sizes a list or the words of a run is refused past the
+    basis cap, before any of it is built, with the value given."""
+    monkeypatch.setenv("FOCKALG_BASIS_CAP", "20")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"fockalg {argv[0]}: error: {message}\n"
+
+
+def test_size_flags_at_the_basis_cap_still_run(monkeypatch):
+    monkeypatch.setenv("FOCKALG_BASIS_CAP", "15")
+    assert E.exp_cesaro(kmax=15).params["kmax"] == 15
+    assert E.exp_membership_witness(K=5).params["K"] == 5  # 5 * 6 / 2 = 15 letters
+    for run in (lambda: E.exp_cesaro(kmax=16), lambda: E.exp_membership_witness(K=6)):
+        with pytest.raises(BasisCapExceeded, match="exceeds cap 15$"):
+            run()
 
 
 def test_cli_tol_is_checked(capsys):

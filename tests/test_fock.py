@@ -1,7 +1,12 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_vector
-from fockalg.fock import FockVector, FreeSeries, inner
+from fockalg.fock import (FockVector, FreeSeries, _convolve, _convolve_loop, _strips, _strips_loop,
+                          inner)
 from fockalg.words import Word, word
 
 
@@ -133,3 +138,55 @@ def test_entry_checks_plain_bytes_length(entry):
         ENTRIES[entry]({b"\x01": 1.0, b"\x01\x02\x01\x02": 1.0})
     # a series has no truncation
     assert len(FreeSeries(2, {b"\x01": 1.0, b"\x01\x02\x01\x02": 1.0}).coeffs) == 2
+
+
+# -- made-once kernel paths ------------------------------------------------------
+
+# coefficient parts: signed zeros, exact values and any finite float
+_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5]) | st.floats(-8, 8, allow_nan=False)
+_COEFFS = st.builds(complex, _PARTS, _PARTS).filter(lambda c: c != 0)
+_SHAPES = ("empty", "one word", "one length", "mixed")
+
+
+def _words(length):
+    """Words of a length (mixed lengths 0..4 when None) over two letters, so
+    that splits and strips often meet at one word; some keys are Words."""
+    letters = st.integers(0, 4) if length is None else st.just(length)
+    word_bytes = letters.flatmap(lambda k: st.lists(st.integers(1, 2), min_size=k, max_size=k))
+    return st.tuples(word_bytes, st.booleans()).map(lambda t: Word(t[0]) if t[1] else bytes(t[0]))
+
+
+@st.composite
+def _maps(draw):
+    """A checked map's dict: empty, one word, words of one length, or mixed."""
+    shape = draw(st.sampled_from(_SHAPES))
+    if shape == "empty":
+        return {}
+    length = None if shape == "mixed" else draw(st.integers(0, 4))
+    size = 1 if shape == "one word" else 8
+    words = draw(st.lists(_words(length), min_size=1, max_size=size, unique=True))
+    return {w: draw(_COEFFS) for w in words}
+
+
+def _bits(d):
+    """A map's items in insertion order, each key with its type and each
+    coefficient as the float.hex of both parts."""
+    return [(type(w), w, c.real.hex(), c.imag.hex()) for w, c in d.items()]
+
+
+@settings(deadline=None, max_examples=400)
+@given(left=_maps(), right=_maps(),
+       max_len=st.sampled_from([math.inf, 0, 1, 2, 3, 4, 5, 6, 8]))
+def test_convolve_is_the_general_loop_bitwise(left, right, max_len):
+    """Products of maps of one length on either side, of mixed lengths, empty,
+    and cut by truncations that drop words equal the general loop's map: the
+    same keys in the same order and the same bits, signed zeros included."""
+    assert _bits(_convolve(left, right, max_len)) == _bits(_convolve_loop(left, right, max_len))
+
+
+@settings(deadline=None, max_examples=400)
+@given(symbol=_maps(), vec=_maps(), left=st.booleans())
+def test_strips_is_the_general_loop_bitwise(symbol, vec, left):
+    """Strips by one-word, one-length, mixed and empty symbols, on both sides,
+    equal the general loop's map bit for bit and in key order."""
+    assert _bits(_strips(symbol, vec, left)) == _bits(_strips_loop(symbol, vec, left))

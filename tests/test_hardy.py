@@ -79,6 +79,47 @@ def test_reciprocal_involution(coeffs, c0):
     assert max(abs(a - b) for a, b in zip(back.coeffs, s.coeffs)) <= 1e-10
 
 
+def _reciprocal_by_coeff_calls(s, K):
+    """reciprocal as it read its coefficients before: one s.coeff(j) call per
+    term, the sum and the division in numpy scalars."""
+    c0 = s.coeff(0)
+    g = np.zeros(K + 1, dtype=complex)
+    g[0] = 1.0 / c0
+    for k in range(1, K + 1):
+        acc = 0.0 + 0.0j
+        for j in range(1, k + 1):
+            cj = s.coeff(j)
+            if cj != 0:
+                acc += cj * g[k - j]
+        g[k] = -acc / c0
+    return tuple(g)
+
+
+def _bits(values):
+    return [(type(v), v.real.hex(), v.imag.hex()) for v in values]
+
+
+@pytest.mark.parametrize("K", [24, 64, 256])
+def test_reciprocal_of_harmonic_is_the_old_loop_bitwise(K):
+    s = harmonic_series(K)
+    assert _bits(reciprocal(s, K).coeffs) == _bits(_reciprocal_by_coeff_calls(s, K))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    coeffs=st.lists(st.sampled_from([0.0, -0.0, 0.25, -1.0]) | st.floats(-2, 2), max_size=12),
+    imag=st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-2, 2), min_size=13, max_size=13),
+    c0=st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    extra=st.integers(-3, 4),
+)
+def test_reciprocal_is_the_old_loop_bitwise(coeffs, imag, c0, extra):
+    """Random series, with zero and signed-zero coefficients, cut below or
+    read past their order."""
+    s = ScalarSeries.make([c0] + [complex(a, b) for a, b in zip(coeffs, imag)])
+    K = max(s.order + extra, 0)
+    assert _bits(reciprocal(s, K).coeffs) == _bits(_reciprocal_by_coeff_calls(s, K))
+
+
 def test_boundary_modulus_at_pi():
     # alternating-series oracle: value at -1 is log 2
     K = 100001

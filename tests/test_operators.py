@@ -22,7 +22,7 @@ from conftest import (
     refuse_write_out,
 )
 import fockalg
-from fockalg import operators
+from fockalg import experiments, fock, operators
 from fockalg.calculus import apply_series, check_isometric_on_frontier, h2_times_isometry
 from fockalg.fock import FockVector
 from fockalg.hardy import ScalarSeries, harmonic_series
@@ -159,6 +159,33 @@ def test_adjoint_strips_prefix():
     L = creation_op("left", word(1), 2, 3)
     assert L.apply_adjoint(FockVector.basis(2, 3, word(1, 2))).coeffs == {word(2): 1.0}
     assert L.apply_adjoint(FockVector.basis(2, 3, word(2))).coeffs == {}
+
+
+def test_symbolic_shapes_never_reach_the_general_kernel_loops(monkeypatch):
+    """A guard that times nothing: with the general loops of both kernels made
+    to raise, the shapes the symbolic workload times still run.  Those are
+    compose and apply of one-length symbols on both sides, products of
+    homogeneous series, the adjoint of a creation operator and adjoint orbits
+    of a one-length symbol, and the eigenvector's powers and residuals."""
+    def refuse(*args):
+        raise AssertionError("a general kernel loop ran")
+
+    monkeypatch.setattr(fock, "_convolve_loop", refuse)
+    monkeypatch.setattr(fock, "_strips_loop", refuse)
+    rng = np.random.default_rng(11)
+    n, N = 3, 12
+    x, y = (FreeSeries.make(n, {w: complex(*rng.standard_normal(2)) for w in
+                                enumerate_words(n, k)[:6]}) for k in (2, 3))
+    xi = FockVector.make(n, N, random_vector(n, 6, 5).coeffs)  # every length 0..6
+    x.mul(y)
+    for side in ("left", "right"):
+        X, Y = series_to_op(x, n, N, side), series_to_op(y, n, N, side)
+        compose(X, Y).apply(xi)
+        X.apply(Y.apply(xi))
+        X.apply_adjoint(xi)
+        creation_op(side, word(2, 1), n, N).apply_adjoint(xi)
+        adjoint_power_orbit(X.scale(0.9 / x.l2_norm()), xi, 3)  # a contraction
+    assert experiments.exp_eigenvector(n=2, N=8).verdict
 
 
 # Tuple-keyed reference loops: words as tuples of letters, the representation

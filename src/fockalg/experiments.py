@@ -41,8 +41,7 @@ from .operators import (
     symbol_norm_bound,
 )
 from .report import Report
-from .words import (MAX_LETTER, BasisCapExceeded, BasisIndexer, Word, basis_cap, enumerate_words,
-                    reverse)
+from .words import MAX_LETTER, BasisIndexer, Word, check_size, enumerate_words, reverse
 
 ZETA2 = math.pi**2 / 6.0  # sum_{k>=0} 1/(k+1)^2
 IDEAL_SCALE = 1.0 / math.sqrt(ZETA2)
@@ -50,7 +49,7 @@ CERTIFICATE_TOL = 1e-6  # membership witness: a deviation above this certifies
 NEAR_RESIDUAL = 1e-6  # ball search: a candidate this close is a near factorization
 CLASSIFICATION_TOL = 1e-3  # ball search: distance to the word-split family
 FEASIBILITY_TOL = 1e-12  # ball search: slack on the factors' symbol bounds
-M_SMALL, M_LARGE = 10, 1000  # ideal counterexample: first and last partial-sum checkpoints
+M_SMALL, M_LARGE = 10, 1000  # first and last partial-sum checkpoints of the growth ratios
 WITNESS_DEGREE = 8  # membership witness: degree of the default polynomial diagonal
 
 Z1 = Word((1,))
@@ -66,19 +65,11 @@ def _check_alphabet(n: int, uses_z2: str | None = None) -> None:
         raise ValueError(f"{uses_z2} uses z2; need n >= 2, got n={n}")
 
 
-def _check_size(what: str, size: int) -> None:
-    """Refuse a flag whose list or words grow to size past the basis cap, the
-    package's one bound on a run's size; what names the flag's value."""
-    limit = basis_cap()
-    if size > limit:
-        raise BasisCapExceeded(f"{what} exceeds cap {limit}")
-
-
 def _check_triangle(flag: str, k: int) -> None:
     """Refuse a flag k whose words k, k - 1, ..., 1 letters long total k(k+1)/2
     letters past the basis cap."""
-    _check_size(f"{flag}={k} builds words of total length {flag}({flag}+1)/2 = "
-                f"{k * (k + 1) // 2}, which", k * (k + 1) // 2)
+    check_size(f"{flag}={k} builds words of total length {flag}({flag}+1)/2 = "
+               f"{k * (k + 1) // 2}, which", k * (k + 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +91,7 @@ def exp_adjoint_decay(lam: complex = 0.5, N: int = 4, kmax: int = 200,
         raise ValueError(f"need N >= 1, got {N}")
     if kmax < 0:
         raise ValueError(f"need kmax >= 0, got {kmax}")
-    _check_size(f"kmax={kmax}", kmax)
+    check_size(f"kmax={kmax}", kmax)
     mu = math.sqrt(1.0 - abs(lam) ** 2)
     n = 2
     L = series_to_op(FreeSeries.make(n, {Word(): lam, Z1: mu}), n, N)
@@ -394,7 +385,7 @@ def exp_membership_witness(b_list: list[FreeSeries] | None = None,
     sum_i B_i L2 C_i.  Polynomial diagonals always fail beyond their degree."""
     if K < 0:
         raise ValueError(f"need K >= 0, got {K}")
-    _check_triangle("K", K)  # the words z1^k, k <= K
+    check_size(f"K={K}", K)
     if (b_list is None) != (c_list is None):
         raise ValueError("provide both candidate lists or neither")
     if b_list is None:
@@ -403,15 +394,17 @@ def exp_membership_witness(b_list: list[FreeSeries] | None = None,
         c_list = [FreeSeries.one(n)]
     if len(b_list) != len(c_list):
         raise ValueError("candidate lists must pair up")
+    # each b's z1 diagonal, k -> b_{z1^k}
+    diagonals = [{len(w): a for w, a in b.coeffs.items() if not w.strip(b"\x01")} for b in b_list]
+    c0 = [c.coeff(Word()) for c in c_list]
     deviations = []
     for k in range(K + 1):
-        zk = Word((1,) * k)
-        total = sum(b.coeff(zk) * c.coeff(Word()) for b, c in zip(b_list, c_list))
+        total = sum(d.get(k, 0.0 + 0.0j) * c for d, c in zip(diagonals, c0))
         deviations.append(abs(total - 1.0 / (k + 1)))
     max_dev = max(deviations)
     first_bad = next((k for k, d in enumerate(deviations) if d > 1e-12), None)
-    h_series = [[{"k": k, "re": c.real, "im": c.imag} for k in range(K + 1)
-                 if (c := b.coeff(Word((1,) * k))) != 0] for b in b_list]
+    h_series = [[{"k": k, "re": a.real, "im": a.imag} for k, a in sorted(d.items()) if k <= K]
+                for d in diagonals]
     verdict = max_dev > CERTIFICATE_TOL
     return Report(
         name="membership-witness",
@@ -505,7 +498,7 @@ def exp_cesaro(s: FreeSeries | None = None, n: int = 2, kmax: int = 64) -> Repor
     d = s.degree()
     if kmax <= d:
         raise ValueError(f"need kmax > support degree {d}, got kmax={kmax}")
-    _check_size(f"kmax={kmax}", kmax)
+    check_size(f"kmax={kmax}", kmax)
     errors = [(cesaro_sum(s, k) - s).l2_norm() for k in range(1, kmax + 1)]
     tail_ok = all(errors[k] <= errors[k - 1] + 1e-15 for k in range(d + 1, len(errors)))
     bound = (d / kmax) * s.l2_norm() + 1e-12
@@ -545,14 +538,14 @@ def exp_flip_examples(n: int = 2, N: int = 12, terms: int = 4096,
         flips[str(w) or "1"] = resid
         worst_flip = max(worst_flip, resid)
 
-    diag = ScalarSeries.make([IDEAL_SCALE / (k + 1) for k in range(1001)])
-    ratio = partial_sum_sup(diag, 1000, grid) / partial_sum_sup(diag, 10, grid)
+    diag = ScalarSeries.make([IDEAL_SCALE / (k + 1) for k in range(M_LARGE + 1)])
+    ratio = partial_sum_sup(diag, M_LARGE, grid) / partial_sum_sup(diag, M_SMALL, grid)
 
     M = terms
     norm_sq = sum(1.0 / (k + 1) ** 2 for k in range(M + 1))
     norm_dev = abs(norm_sq - ZETA2)
-    harm = harmonic_series(1000)
-    harm_ratio = partial_sum_sup(harm, 1000, grid) / partial_sum_sup(harm, 10, grid)
+    harm = harmonic_series(M_LARGE)
+    harm_ratio = partial_sum_sup(harm, M_LARGE, grid) / partial_sum_sup(harm, M_SMALL, grid)
 
     m_chk = min(16, N)
     jm = apply_series(harmonic_series(m_chk), creation_op(LEFT, Z1, n, N))
@@ -602,6 +595,9 @@ def exp_ball_search(w: Word | None = None, degree: int = 2, n: int = 2,
     _check_alphabet(n, "the witness pair")
     if w is None:
         w = Word((1, 2))
+    if not w:
+        raise ValueError("need a nonempty word w, got '': L_w = I factors only into unimodular "
+                         "scalars, which the search does not reach")
     cands = search_ball_factorizations(w, degree, n, N, restarts=restarts, seed=seed)
     near = [c for c in cands if c.residual <= NEAR_RESIDUAL]
     classified_ok = all(c.manifold_distance <= CLASSIFICATION_TOL for c in near)

@@ -17,11 +17,10 @@ symbol-backed operators) pass that check by closure, so they are built by
 Two kernels make every such map past a sum, scaling or truncation: products
 ``_convolve`` (series products and the images S xi) and strips ``_strips``
 (the images S* xi and both halves of ``operators.gram``).  Each takes a
-made-once path where the words fix every split: ``_convolve`` when all words
-on one side have one length, ``_strips`` for a symbol of one word (and one
-slice per vector word for a symbol of one length).  Those paths write each
-coefficient once, with the float and the key order of the general loops,
-``_convolve_loop`` and ``_strips_loop``, which every other input takes.
+made-once path by one rule, when every word on one side (the symbol's side
+for strips) has one length: the words then fix every split.  Those paths
+give the float and the key order of the general loops, ``_convolve_loop``
+and ``_strips_loop``, which every other input takes.
 """
 
 from __future__ import annotations
@@ -102,16 +101,9 @@ def _strips(symbol: dict[bytes, complex], vec: dict[bytes, complex],
     """Strips of one checked map by another, the coefficients of S_symbol* vec:
     out_t = sum over v = wt (v = tw when not left) of conj(symbol_w) vec_v.
 
-    A one-word symbol strips each v at most once, so each t is made once, from
-    ``startswith`` (``endswith``).  A symbol of one length k costs one slice of
-    v and one lookup per v; its matches can meet at one t, which sums in the
-    order of vec.  Other symbols take ``_strips_loop``."""
-    if len(symbol) == 1:
-        ((w, a),) = symbol.items()
-        a_conj, k = a.conjugate(), len(w)
-        if left:
-            return {v[k:]: 0.0 + a_conj * c for v, c in vec.items() if v.startswith(w)}
-        return {v[:len(v) - k]: 0.0 + a_conj * c for v, c in vec.items() if v.endswith(w)}
+    When every symbol word has one length k, as a one-word symbol's does, each
+    v costs one slice and one lookup; its matches can meet at one t, which
+    sums in the order of vec.  Other symbols take ``_strips_loop``."""
     lengths = set(map(len, symbol))
     if len(lengths) != 1:
         return _strips_loop(symbol, vec, left)

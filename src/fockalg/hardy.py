@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .words import BasisCapExceeded, basis_cap
+from .words import check_size
 
 GUARD_BAND = 0.05  # radians around theta = 0 excluded from circle scans
 
@@ -99,12 +99,10 @@ def boundary_modulus(theta: float) -> float:
 
 
 def _check_grid(grid: int) -> None:
-    """8 <= grid <= the basis cap, the package's one bound on a run's size."""
+    """8 <= grid <= the basis cap, refused past it by ``words.check_size``."""
     if grid < 8:
         raise ValueError(f"need at least 8 grid points, got {grid}")
-    limit = basis_cap()
-    if grid > limit:
-        raise BasisCapExceeded(f"grid of {grid} points exceeds cap {limit}")
+    check_size(f"grid of {grid} points", grid)
 
 
 def circle_grid(grid: int, guard: float = GUARD_BAND) -> np.ndarray:

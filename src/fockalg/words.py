@@ -35,6 +35,14 @@ def basis_cap() -> int:
     return int(raw) if raw else DEFAULT_BASIS_CAP
 
 
+def check_size(what: str, size: int) -> None:
+    """Refuse a run whose words, list or grid grow to size past the basis cap,
+    the package's one bound on a run's size; what names the value given."""
+    limit = basis_cap()
+    if size > limit:
+        raise BasisCapExceeded(f"{what} exceeds cap {limit}")
+
+
 class Word(bytes):
     """Immutable word over letters 1..n, n <= 255; ``Word()`` is the unit.
 
@@ -105,9 +113,7 @@ def enumerate_words(n: int, k: int) -> list[Word]:
     """All n^k words of length exactly k, lexicographically ordered."""
     if not 1 <= n <= MAX_LETTER or k < 0:
         raise ValueError(f"need 1 <= n <= {MAX_LETTER} and k >= 0, got n={n}, k={k}")
-    limit = basis_cap()
-    if n**k > limit:
-        raise BasisCapExceeded(f"n^k = {n**k} exceeds cap {limit}")
+    check_size(f"n^k = {n**k}", n**k)
     return list(map(_derived, itertools.product(range(1, n + 1), repeat=k)))
 
 

@@ -161,6 +161,28 @@ def test_membership_witness_wrong_diagonal():
     assert rep.measurements["max_deviation"] > 0.5  # g_1 = -1/2 vs 1/2
 
 
+def test_membership_witness_reads_only_the_z1_diagonal():
+    """Candidates holding words off the z1 diagonal, z1 powers past K and a
+    constant term: the deviations and diagonals are the coefficient lookups
+    of z1^k, k <= K, bit for bit."""
+    K = 12
+    b_list = [FreeSeries.make(2, {Word(): 0.9 - 0.1j, word(1): -0.5, word(2): 3.0, word(1, 2): 1.5j,
+                                  word(2, 1): 2.0, word(1, 1, 1): 0.25 + 0.5j,
+                                  Word((1,) * 20): 7.0}),
+              FreeSeries.make(2, {word(1, 1): 1 / 3, word(2, 2): -1.0, Word((1,) * 12): 0.1}),
+              FreeSeries.make(2, {word(2): 1.0})]
+    c_list = [FreeSeries.make(2, {Word(): 0.7 + 0.2j, word(1): 5.0}), FreeSeries.one(2),
+              FreeSeries.make(2, {word(2): 1.0})]
+    rep = E.exp_membership_witness(b_list=b_list, c_list=c_list, K=K)
+    want = [abs(sum(b.coeff(Word((1,) * k)) * c.coeff(Word()) for b, c in zip(b_list, c_list))
+                - 1.0 / (k + 1)) for k in range(K + 1)]
+    assert [d.hex() for d in rep.measurements["deviations"]] == [d.hex() for d in want]
+    assert rep.measurements["h_diagonals"] == [
+        [{"k": k, "re": c.real, "im": c.imag} for k in range(K + 1)
+         if (c := b.coeff(Word((1,) * k))) != 0] for b in b_list]
+    assert [len(h) for h in rep.measurements["h_diagonals"]] == [3, 2, 0]
+
+
 def test_eigenvector_axis_case():
     rep = E.exp_eigenvector(lam_tuple=(0.5, 0.0), N=8)
     assert rep.verdict
@@ -445,6 +467,9 @@ def test_cli_refuses_nan_lam(capsys):
     # the search's bounds, with the values they were given
     (["ball-search", "--degree", "0"], "need |w| <= 2*degree <= N, got |w|=2, degree=0, N=5"),
     (["ball-search", "--level", "3"], "need |w| <= 2*degree <= N, got |w|=2, degree=2, N=3"),
+    # L_w = I: the search never reaches its unimodular scalar pairs, so no FAIL is reported
+    (["ball-search", "--word", ""], "need a nonempty word w, got '': L_w = I factors only into "
+     "unimodular scalars, which the search does not reach"),
     # numpy's own message for a negative seed names no flag
     (["ball-search", "--seed", "-1"], "need seed >= 0, got -1"),
     (["eigenvector", "--seed", "-1"], "need seed >= 0, got -1"),
@@ -481,7 +506,7 @@ def test_cli_refuses_nan_lam(capsys):
         "ideal-counterexample-n-300", "flip-examples-n-300", "codim-counts-n-300",
         "thin-isometry-n-300", "ball-search-n-300", "ball-search-n-0", "flip-examples-n-1",
         "cesaro-n-1", "ideal-counterexample-n-1", "ball-search-n-1", "ball-search-degree-0",
-        "ball-search-level-3", "ball-search-seed", "eigenvector-seed",
+        "ball-search-level-3", "ball-search-word-empty", "ball-search-seed", "eigenvector-seed",
         "eigenvector-level", "codim-counts-level", "adjoint-decay-level-0",
         "adjoint-decay-level-negative", "flip-examples-level-0", "flip-examples-level-1",
         "flip-examples-level-negative", "eigenvector-n", "eigenvector-n-seed",
@@ -498,9 +523,8 @@ def test_cli_input_messages_name_the_flags_given(argv, message, capsys):
     # lists as long as the flag
     (["cesaro", "--kmax", "21"], "kmax=21 exceeds cap 20"),
     (["adjoint-decay", "--kmax", "21"], "kmax=21 exceeds cap 20"),
+    (["membership-witness", "--terms", "21"], "K=21 exceeds cap 20"),
     # words of total length k(k+1)/2
-    (["membership-witness", "--terms", "6"],
-     "K=6 builds words of total length K(K+1)/2 = 21, which exceeds cap 20"),
     (["factor-generator", "--terms", "6"],
      "K=6 builds words of total length K(K+1)/2 = 21, which exceeds cap 20"),
     (["ideal-counterexample", "--level", "6"],
@@ -518,8 +542,8 @@ def test_cli_size_flags_answer_to_the_basis_cap(argv, message, monkeypatch, caps
 def test_size_flags_at_the_basis_cap_still_run(monkeypatch):
     monkeypatch.setenv("FOCKALG_BASIS_CAP", "15")
     assert E.exp_cesaro(kmax=15).params["kmax"] == 15
-    assert E.exp_membership_witness(K=5).params["K"] == 5  # 5 * 6 / 2 = 15 letters
-    for run in (lambda: E.exp_cesaro(kmax=16), lambda: E.exp_membership_witness(K=6)):
+    assert E.exp_membership_witness(K=15).params["K"] == 15
+    for run in (lambda: E.exp_cesaro(kmax=16), lambda: E.exp_membership_witness(K=16)):
         with pytest.raises(BasisCapExceeded, match="exceeds cap 15$"):
             run()
 
@@ -594,7 +618,7 @@ def test_factor_search_demo_script_runs():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("target L_[z1 z2]  restarts=2  seed=7")
     # bad input is one line on stderr and exit code 2, not a traceback
-    for args in (["z1 z2", "abc"], ["z1 z2", "0"], ["zq"], ["z256"], ["z1 z2", "2", "-1"]):
+    for args in (["z1 z2", "abc"], ["z1 z2", "0"], ["zq"], ["z256"], [""], ["z1 z2", "2", "-1"]):
         proc = subprocess.run(
             [sys.executable, str(root / "scripts" / "factor_search_demo.py"), *args],
             capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},

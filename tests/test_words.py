@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from conftest import random_series
 from fockalg.calculus import classify_word_factorization
 from fockalg.fock import FockVector
 from fockalg.operators import LEFT, RIGHT, decompose_at, series_to_op
+from fockalg import words
 from fockalg.words import (
     BasisCapExceeded,
     BasisIndexer,
@@ -195,3 +199,20 @@ def test_word_letter_bound_at_255():
         with pytest.raises(ValueError, match="255"):
             act()
     assert len(enumerate_words(255, 1)) == 255 and BasisIndexer(255, 1).word_at(255) == word(255)
+
+
+def test_only_words_reads_the_basis_cap():
+    """Every size refusal goes through words (check_size, BasisIndexer): no
+    other module names basis_cap or CAP_ENV_VAR, or spells out the variable."""
+    cap_names = {"basis_cap", "CAP_ENV_VAR"}
+    sources = sorted(Path(words.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    readers = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Name) and node.id in cap_names
+                    or isinstance(node, ast.Attribute) and node.attr in cap_names
+                    or isinstance(node, ast.alias) and node.name in cap_names
+                    or isinstance(node, ast.Constant) and node.value == words.CAP_ENV_VAR):
+                readers.add(path.name)
+    assert readers == {"words.py"}

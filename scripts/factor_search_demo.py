@@ -24,9 +24,6 @@ def main():
 
 def search():
     w = Word.parse(sys.argv[1]) if len(sys.argv) > 1 else Word((1, 2))
-    if not w:
-        raise ValueError("need a nonempty word w, got '': L_w = I factors only into unimodular "
-                         "scalars, which the search does not reach")
     restarts = int(sys.argv[2]) if len(sys.argv) > 2 else 16
     seed = int(sys.argv[3]) if len(sys.argv) > 3 else 7
     degree = int(sys.argv[4]) if len(sys.argv) > 4 else max(1, len(w))

@@ -219,7 +219,9 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
                                restarts: int = 32, seed: int = 0,
                                max_iter: int = 300) -> list[FactorCandidate]:
     """Alternating least squares over coefficient polynomials of bounded degree,
-    with spectral-norm projection keeping both factors in the unit ball.
+    with spectral-norm projection keeping both factors in the unit ball, for
+    |w| <= 2*degree <= N and w nonempty at degree >= 1 (L_w = I factors only
+    into unimodular scalars, which the sweeps reach at degree 0 alone).
 
     Left creation operators never lower the level, so P_N B (I - P_N) = 0 and
     compressions compose exactly; the P_N L_t P_N of distinct words t are
@@ -247,6 +249,9 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
     order, not by residual: a near candidate's residual is rounding noise, so a
     one-ulp change in any sigma could reorder them.
     """
+    if not w and degree >= 1:
+        raise ValueError("need a nonempty word w, got '': L_w = I factors only into unimodular "
+                         "scalars, which the search does not reach")
     if not len(w) <= 2 * degree <= N:
         raise ValueError(f"need |w| <= 2*degree <= N, got |w|={len(w)}, degree={degree}, N={N}")
     if restarts < 1:

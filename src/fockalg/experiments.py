@@ -215,7 +215,7 @@ def exp_factor_generator(K: int = 64, N: int | None = None, tol: float = 1e-9) -
     g = reciprocal(f, K)
     L1 = creation_op(LEFT, Z1, n, N)
     L2 = creation_op(LEFT, Z2, n, N)
-    A = h2_times_isometry(harmonic_series(K - 1) if K > 1 else ScalarSeries.make([1.0]), L1, L2)
+    A = h2_times_isometry(harmonic_series(K - 1), L1, L2)
     inner_report = verify_factorization(g, L1, A, L2, depth=K, tol=tol)
     a_support = len(A.symbol.coeffs)
     g_degree = g.degree()
@@ -443,7 +443,7 @@ def exp_eigenvector(lam_tuple: tuple[complex, ...] | None = None, n: int = 2,
             raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             lam_tuple = tuple(0.7 * raw / np.linalg.norm(raw))
         else:
-            lam_tuple = tuple([0.5 + 0.0j, 0.2 + 0.1j][:n]) if n == 2 else tuple(
+            lam_tuple = (0.5 + 0.0j, 0.2 + 0.1j) if n == 2 else tuple(
                 0.5 / math.sqrt(n) for _ in range(n))
     lam_tuple = tuple(complex(t) for t in lam_tuple)
     if len(lam_tuple) != n:
@@ -595,9 +595,6 @@ def exp_ball_search(w: Word | None = None, degree: int = 2, n: int = 2,
     _check_alphabet(n, "the witness pair")
     if w is None:
         w = Word((1, 2))
-    if not w:
-        raise ValueError("need a nonempty word w, got '': L_w = I factors only into unimodular "
-                         "scalars, which the search does not reach")
     cands = search_ball_factorizations(w, degree, n, N, restarts=restarts, seed=seed)
     near = [c for c in cands if c.residual <= NEAR_RESIDUAL]
     classified_ok = all(c.manifold_distance <= CLASSIFICATION_TOL for c in near)
@@ -607,8 +604,7 @@ def exp_ball_search(w: Word | None = None, degree: int = 2, n: int = 2,
 
     K = 24
     g = reciprocal(harmonic_series(K), K)
-    bser = FreeSeries.make(n, {Word((1,) * k): g.coeff(k) for k in range(min(K, N) + 1)
-                               if g.coeff(k) != 0})
+    bser = FreeSeries.make(n, {Word((1,) * k): g.coeff(k) for k in range(min(K, N) + 1)})
     cser = FreeSeries.make(n, {Word((1,) * k + (2,)): 1.0 / (k + 1) for k in range(N)})
     witness_residual = factorization_residual(bser, cser, Z2, n, N)
 

@@ -12,6 +12,7 @@ realized on the basis {xi_w : |w| <= N} in one of two ways:
   a numpy array or a scipy.sparse matrix read through its own tocoo() and
   toarray(); it is only measured (norms, commutant): ``TruncOp.symbol`` and the
   checks that operands share a side (its side is None) refuse every other use.
+  Its sigma is _spectral_norm's: lone entries, then one full SVD of the rest.
 
 Every operator carries its exactness frontier: the largest level m such that
 the action on vectors supported in levels <= m agrees with the untruncated
@@ -332,11 +333,11 @@ def gram(a: FreeSeries, b: FreeSeries, side: str) -> dict[tuple[bytes, bool], co
 def _spectral_norm(m) -> float:
     """sigma_max of a matrix with no symbol (a matrix-backed operator, the
     commutant's X R - R X) from its nonzeros, found by np.nonzero or by a
-    scipy.sparse matrix's own tocoo() (scipy is never imported).  A column whose
-    rows hold no other entry, or a row whose columns hold none, is a block up to
-    permutation with its 2-norm as its one singular value.  sigma is the largest
-    such 2-norm or the full SVD's of the rest (duplicates summed, empty rows and
-    columns dropped), at most DENSE_CAP square.  An entry stored twice is never lone."""
+    scipy.sparse matrix's own tocoo() (scipy is never imported).  An entry alone
+    in its row and in its column is a 1 x 1 block up to permutation, with sigma
+    its modulus.  sigma is the largest such modulus or the full SVD's of the
+    rest (duplicates summed, empty rows and columns dropped), at most DENSE_CAP
+    square.  An entry stored twice is never lone."""
     if hasattr(m, "tocoo"):
         coo = m.tocoo()
         keep = coo.data != 0
@@ -344,23 +345,18 @@ def _spectral_norm(m) -> float:
     else:
         r, c = np.nonzero(m)
         vals = m[r, c]
-    alone_in_row = np.bincount(r, minlength=m.shape[0])[r] == 1
-    alone_in_col = np.bincount(c, minlength=m.shape[1])[c] == 1
-    in_col = (np.bincount(c, ~alone_in_row, m.shape[1]) == 0)[c]
-    in_row = (np.bincount(r, ~alone_in_col, m.shape[0]) == 0)[r]
-    rest = ~(in_col | in_row)
-    sq = np.abs(vals) ** 2
-    vectors = math.sqrt(max(np.bincount(c[in_col], sq[in_col]).max(initial=0.0),
-                            np.bincount(r[in_row], sq[in_row]).max(initial=0.0)))
+    rest = np.bincount(r, minlength=m.shape[0])[r] > 1
+    rest |= np.bincount(c, minlength=m.shape[1])[c] > 1
+    lone = float(np.abs(vals[~rest]).max(initial=0.0))
     if not rest.any():
-        return vectors
+        return lone
     rows, r = np.unique(r[rest], return_inverse=True)
     cols, c = np.unique(c[rest], return_inverse=True)
     if max(rows.size, cols.size) > DENSE_CAP:
         raise BasisCapExceeded(f"rest block {rows.size} x {cols.size} over DENSE_CAP {DENSE_CAP}")
     block = np.zeros((rows.size, cols.size), dtype=vals.dtype)
     np.add.at(block, (r, c), vals[rest])
-    return max(vectors, float(np.linalg.norm(block, 2)))
+    return max(lone, float(np.linalg.norm(block, 2)))
 
 
 def symbol_norm_bound(s: FreeSeries) -> float:

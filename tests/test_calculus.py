@@ -1,5 +1,8 @@
+import ast
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,13 +367,26 @@ def test_search_single_letter_irreducible():
         assert Word(c.split[0].letters + c.split[1].letters) == word(2)
 
 
-def test_search_unit_word_only_scalar_unitaries():
-    cands = search_ball_factorizations(Word(), 2, 2, 5, restarts=4, seed=5, max_iter=150)
-    for c in cands:
-        if c.residual <= 1e-6:
-            assert abs(abs(c.b.coeff(Word())) - 1.0) <= 1e-6
-            assert abs(abs(c.c.coeff(Word())) - 1.0) <= 1e-6
-        assert op_norm(series_to_op(c.b, 2, 5)) <= 1 + 1e-12
+def test_search_refuses_the_unit_word():
+    # L_w = I factors only into unimodular scalars, which the sweeps do not
+    # reach at degree >= 1; the search refuses it before any other check
+    message = ("need a nonempty word w, got '': L_w = I factors only into unimodular "
+               "scalars, which the search does not reach")
+    for degree in (1, 2, 3):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            search_ball_factorizations(Word(), degree, 2, 2 * degree + 1)
+
+
+def test_only_the_search_refuses_the_unit_word():
+    """The empty-word refusal is written once, in the search: neither the
+    experiment nor the demo script holds a copy of it."""
+    root = Path(__file__).resolve().parents[1]
+    sources = sorted((root / "src" / "fockalg").glob("*.py")) + sorted((root / "scripts").glob("*.py"))
+    holders = [path.name for path in sources
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and node.value.startswith("need a nonempty word w")]
+    assert holders == ["calculus.py"]
 
 
 def _dense_design_als(w, degree, n, N, restarts, seed, max_iter=300):

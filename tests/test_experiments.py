@@ -582,6 +582,13 @@ def test_cli_word_names_the_letter_bound(capsys):
                    "letters must be integers in 1..255, got 256\n")
 
 
+def test_cli_runs_the_unit_word_at_degree_zero(capsys):
+    # the empty-word refusal holds from degree 1 on: at degree 0 the factors
+    # are scalars, and the search reaches the pair
+    assert main(["ball-search", "--word", "", "--degree", "0"]) == 0
+    assert capsys.readouterr().out == "[PASS] ball-search\n"
+
+
 # -- experiment table ------------------------------------------------------------
 
 

@@ -595,11 +595,11 @@ def _complex(rng, shape):
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1), columns=st.integers(0, 5), rows=st.integers(0, 5),
        singles=st.integers(0, 5), coupled=st.sampled_from([None, (2, 2), (3, 7), (30, 24)]))
-def test_spectral_norm_splits_off_isolated_rows_and_columns(seed, columns, rows, singles, coupled):
+def test_spectral_norm_of_scattered_blocks(seed, columns, rows, singles, coupled):
     """Column vectors, row vectors, 1x1 entries and one block with about a
-    third of its entries zeroed (so that a row or column of it may or may not
-    split off), scattered by random permutations; the norm is the largest of
-    the blocks' own."""
+    third of its entries zeroed (so that an entry of it may or may not be alone
+    in its row and column), scattered by random permutations; the norm is the
+    largest of the blocks' own, whether an entry splits off or goes to the rest."""
     rng = np.random.default_rng(seed)
     blocks = [_complex(rng, (int(rng.integers(2, 6)), 1)) for _ in range(columns)]
     blocks += [_complex(rng, (1, int(rng.integers(2, 6)))) for _ in range(rows)]
@@ -1034,7 +1034,7 @@ def test_frontier_never_exceeds_oracle(seed, N, side, steps):
 def _hadamard_pairs(rng, size=8191, pairs=1023):
     """Unitary 2x2 blocks [[1, 1], [1, -1]] / sqrt(2) at distinct random rows
     and columns of a size-square CSR: each nonempty row and column holds two
-    entries, so nothing splits off as a vector, and the norm is 1."""
+    entries, so no entry splits off alone, and the norm is 1."""
     r = rng.choice(size, 2 * pairs, replace=False).reshape(pairs, 2)
     c = rng.choice(size, 2 * pairs, replace=False).reshape(pairs, 2)
     vals = np.tile([1.0, 1.0, 1.0, -1.0], pairs) / math.sqrt(2)
@@ -1048,8 +1048,8 @@ def test_spectral_norm_rest_takes_the_full_svd_up_to_dense_cap(monkeypatch, rng)
     monkeypatch.setattr(np.linalg, "norm",
                         lambda m, *args, **kwargs: shapes.append(np.shape(m)) or
                         svd_norm(m, *args, **kwargs))
-    # L_{12} sends distinct words to distinct words: each of its columns is a
-    # block of its own, and no SVD runs
+    # L_{12} sends distinct words to distinct words: each of its entries is
+    # alone in its row and column, and no SVD runs
     assert op_norm(creation_op("left", word(1, 2), 2, 12)) == 1.0 and shapes == []
     assert abs(op_norm(op_from_matrix(_hadamard_pairs(rng), 2, 12)) - 1.0) <= 1e-9
     # the full SVD sees the rest without its empty rows and columns
@@ -1061,6 +1061,28 @@ def test_spectral_norm_rest_takes_the_full_svd_up_to_dense_cap(monkeypatch, rng)
     with pytest.raises(BasisCapExceeded, match="rest block 8191 x 8191 over DENSE_CAP 4096"):
         op_norm(op_from_matrix(crowded.tocsr().astype(complex), 2, 12))
     assert shapes == [(2046, 2046)]
+
+
+def test_spectral_norm_of_lone_entries_runs_no_svd(monkeypatch, rng):
+    # an 8191-square CSR (> DENSE_CAP) whose every entry is alone in its row
+    # and column, as a diagonal is: sigma is the largest modulus, with no SVD
+    monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: pytest.fail("SVD ran"))
+    size = 8191
+    vals = _complex(rng, size)
+    perm = sp.csr_matrix((vals, (rng.permutation(size), np.arange(size))), shape=(size, size))
+    assert operators._spectral_norm(perm) == np.abs(vals).max()
+    assert operators._spectral_norm(sp.identity(size, dtype=complex, format="csr")) == 1.0
+
+
+def test_spectral_norm_refuses_column_vectors_over_dense_cap():
+    # 2100 column vectors of two entries each: no entry is alone in its
+    # column, so all go to one 4200 x 2100 rest, over DENSE_CAP and refused;
+    # a column vector is no longer split off and measured by its 2-norm
+    size, cols = 8191, 2100
+    m = sp.csr_matrix((np.full(2 * cols, 0.6), (np.arange(2 * cols), np.repeat(np.arange(cols), 2))),
+                      shape=(size, size))
+    with pytest.raises(BasisCapExceeded, match="rest block 4200 x 2100 over DENSE_CAP 4096"):
+        operators._spectral_norm(m)
 
 
 def _assert_op_norm_is_full_svd(s, n, N, side):

@@ -32,7 +32,6 @@ from .operators import (
     TruncOp,
     compose,
     contraction_status,
-    creation_op,
     fourier_of,
     gram,
     level_split_sigma,
@@ -40,7 +39,7 @@ from .operators import (
     series_to_op,
 )
 from .report import Report
-from .words import BasisIndexer, Word, _derived
+from .words import BasisIndexer, Word, _derived, check_size
 
 ORTHOGONALITY_TOL = 1e-10
 ISOMETRY_TOL = 1e-9
@@ -161,9 +160,8 @@ class FactorCandidate:
 
 
 def factorization_residual(b: FreeSeries, c: FreeSeries, w: Word, n: int, N: int) -> float:
-    """Compression norm of series_to_op(b) series_to_op(c) - L_w."""
-    prod = compose(series_to_op(b, n, N), series_to_op(c, n, N))
-    return op_norm(prod - creation_op(LEFT, w, n, N))
+    """Compression norm of B C - L_w on F^2_N: one operator, of the symbol b*c - delta_w."""
+    return op_norm(series_to_op(b.mul(c, max_degree=N) - FreeSeries.delta(n, w), n, N))
 
 
 def classify_word_factorization(b: FreeSeries, c: FreeSeries, w: Word) -> tuple[float, tuple[Word, Word], complex]:
@@ -193,17 +191,21 @@ def classify_word_factorization(b: FreeSeries, c: FreeSeries, w: Word) -> tuple[
 class _BallProblem:
     """B C = L_w over coefficient vectors indexed by the words |u| <= degree.
 
-    kernel[t, u, v] = sqrt(m_|t|) when uv = t: kernel @ c and b @ kernel are
-    the weighted designs of b -> b*c and c -> b*c.  ``sigma`` is the exact
-    sigma_max of a vector's compression on F^2_N (operators.level_split_sigma).
+    kernel[t, u, v] = sqrt(m_|t|) when uv = t, stored complex as the vectors it
+    multiplies: kernel @ c and b @ kernel are the weighted designs of b -> b*c
+    and c -> b*c.  Its P m^2 entries (P product words, m factor words) answer
+    to the basis cap before anything is planned or allocated.  ``sigma`` is the
+    exact sigma_max of a vector's compression on F^2_N (operators.level_split_sigma).
     """
 
     def __init__(self, w: Word, degree: int, n: int, N: int):
         root_m = [math.sqrt(sum(n**j for j in range(N - d + 1))) for d in range(2 * degree + 1)]
-        self.basis = list(BasisIndexer(n, degree).words())
+        products, factors = BasisIndexer(n, 2 * degree), BasisIndexer(n, degree)
+        entries = products.size * factors.size**2
+        check_size(f"the search kernel at degree {degree}, n={n} ({entries} entries)", entries)
+        self.basis = list(factors.words())
         self.sigma = level_split_sigma(self.basis, LEFT, n, N)
-        products = BasisIndexer(n, 2 * degree)
-        self.kernel = np.zeros((products.size, len(self.basis), len(self.basis)))
+        self.kernel = np.zeros((products.size, len(self.basis), len(self.basis)), dtype=complex)
         for i, u in enumerate(self.basis):
             for j, v in enumerate(self.basis):
                 self.kernel[products.index_of(u + v), i, j] = root_m[len(u) + len(v)]
@@ -256,6 +258,7 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
         raise ValueError(f"need |w| <= 2*degree <= N, got |w|={len(w)}, degree={degree}, N={N}")
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got {restarts}")
+    check_size(f"restarts={restarts}", restarts)  # one candidate is kept per restart
     if max_iter < 1:
         raise ValueError(f"need max_iter >= 1, got {max_iter}")
     if seed < 0:

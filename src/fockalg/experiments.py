@@ -525,6 +525,7 @@ def exp_flip_examples(n: int = 2, N: int = 12, terms: int = 4096,
     sup-norms diverge."""
     if terms < 0:
         raise ValueError(f"need terms >= 0, got {terms}")
+    check_size(f"terms={terms}", terms)  # the limit vector's norm sums terms + 1 steps
     _check_alphabet(n, "the construction")
     if N < 2:  # the flip of z1 z2 is checked
         raise ValueError(f"need N >= 2, got {N}")

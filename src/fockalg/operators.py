@@ -4,10 +4,11 @@ An element of the left algebra is determined by its noncommutative symbol
 sum_w a_w L_w (the Fourier coefficients a_w = (X xi_1, xi_w)).  Operators are
 realized on the basis {xi_w : |w| <= N} in one of two ways:
 
-* symbol-backed: the symbol is kept and acts by word concatenation at any
-  truncation level; its compression norm is read from the symbol at every
-  size (level_split_sigma, which writes out at most the compression one level
-  down), and _compression writes its matrix out, dense, only up to DENSE_CAP,
+* symbol-backed: the symbol, of degree <= N (TruncOp's one check), acts by
+  word concatenation at any truncation level; its compression norm is read
+  from the symbol at every size (level_split_sigma, which writes out at most
+  the compression one level down), and _compression writes its matrix out,
+  dense, only up to DENSE_CAP,
 * matrix-backed: a caller's compression matrix for an operator with no symbol,
   a numpy array or a scipy.sparse matrix read through its own tocoo() and
   toarray(); it is only measured (norms, commutant): ``TruncOp.symbol`` and the
@@ -40,7 +41,8 @@ RIGHT = "right"
 
 
 class TruncOp:
-    """Operator on the truncated basis, symbol-backed or matrix-backed."""
+    """Operator on the truncated basis, symbol-backed or matrix-backed; the one
+    check of a symbol's degree against N (compose truncates at N, sums keep it)."""
 
     def __init__(self, n: int, N: int, *, symbol: Optional[FreeSeries] = None,
                  side: Optional[str] = None, matrix=None, frontier: Optional[int] = None):
@@ -50,15 +52,16 @@ class TruncOp:
             raise ValueError("symbol-backed operator needs side 'left' or 'right'")
         if symbol is not None and (symbol.n, symbol.N) != (n, None):
             raise ValueError(f"symbol must be a series on the operator's alphabet {n}")
+        degree = symbol.degree() if symbol is not None else 0
+        if degree > N:
+            raise ValueError(f"symbol degree {degree} exceeds truncation {N}")
         self.n = n
         self.N = N
         self._symbol = symbol
         self.side = side if symbol is not None else None
         self._matrix = matrix
         self._norm: Optional[float] = None
-        if frontier is None:
-            frontier = N - symbol.degree() if symbol is not None else N
-        self.frontier = min(frontier, N)
+        self.frontier = min(N - degree if frontier is None else frontier, N)
 
     # -- representation ----------------------------------------------------
 
@@ -243,16 +246,12 @@ def level_split_sigma(words: list[Word], side: str, n: int, N: int):
 
 
 def creation_op(side: str, w: Word, n: int, N: int) -> TruncOp:
-    """L_w (xi_v -> xi_{wv}) or R_w (xi_v -> xi_{vw}); overflow past level N drops."""
-    if len(w) > N:
-        raise ValueError(f"|w| = {len(w)} exceeds truncation {N}")
+    """L_w (xi_v -> xi_{wv}) or R_w (xi_v -> xi_{vw}) for |w| <= N; overflow drops."""
     return TruncOp(n, N, symbol=FreeSeries.delta(n, w), side=side)
 
 
 def series_to_op(s: FreeSeries, n: int, N: int, side: str = LEFT) -> TruncOp:
-    """Realize the symbol s on the truncated basis; frontier = N - deg(s)."""
-    if s.degree() > N:
-        raise ValueError(f"symbol degree {s.degree()} exceeds truncation {N}")
+    """Realize s, of degree <= N, on the truncated basis; frontier = N - deg(s)."""
     return TruncOp(n, N, symbol=s, side=side)
 
 
@@ -372,16 +371,16 @@ def symbol_norm_bound(s: FreeSeries) -> float:
 def op_norm(X: TruncOp) -> float:
     """Largest singular value of the compression (a lower bound for the norm
     of the untruncated operator, labelled 'compression norm' in reports), taken
-    once per operator.  A symbol's is exact at every size (level_split_sigma):
-    the word test for a prefix-free support (suffix-free for R), else the split
-    by last letter (first for R), ending in an arrowhead eigenvalue up to
-    DENSE_CAP and in the recursion over it.  A matrix-backed X's is
-    _spectral_norm of its matrix, one dense SVD at most."""
+    once per operator.  A symbol's, read as stored (TruncOp keeps deg <= N), is
+    exact at every size (level_split_sigma): the word test for a prefix-free
+    support (suffix-free for R), else the split by last letter (first for R),
+    ending in an arrowhead eigenvalue up to DENSE_CAP and in the recursion over
+    it.  A matrix-backed X's is _spectral_norm of its matrix, one SVD at most."""
     if X._norm is None:
         if X._symbol is None:
             X._norm = _spectral_norm(X.matrix)
         else:
-            s = X.symbol.truncate(X.N)
+            s = X.symbol
             X._norm = level_split_sigma(list(s.coeffs), X.side, X.n, X.N)(
                 np.array(list(s.coeffs.values()), dtype=complex))
     return X._norm
@@ -391,21 +390,22 @@ def contraction_status(X: TruncOp) -> tuple[Optional[bool], str]:
     """Whether ||X|| <= 1 + CONTRACTION_TOL for a symbol-backed X, with the reason.
 
     True only from symbol_norm_bound, an upper bound, without materializing;
-    False only when the compression norm, a lower bound, exceeds 1 + tol;
-    None (unchecked) when neither settles it: the compression is over the
-    basis cap, or its norm is at most 1 + tol and so decides nothing.
+    False only when a lower bound exceeds 1 + tol: the compression norm, or,
+    when op_norm is refused, the vacuum column norm ||X xi_1|| = ||a||_2;
+    None (unchecked) when neither settles it, with the refusal's own message
+    when there is one.
     """
     bound = symbol_norm_bound(X.symbol)
     if bound <= 1 + CONTRACTION_TOL:
         return True, f"symbol bound {bound:.6f} <= 1 + {CONTRACTION_TOL}"
+    refused = ""
     try:
-        nrm = op_norm(X)
-    except BasisCapExceeded:
-        reason = "the compression is over the basis cap"
-    else:
-        if nrm > 1 + CONTRACTION_TOL:
-            return False, f"compression norm {nrm:.6f} > 1 + {CONTRACTION_TOL}"
-        reason = f"the compression norm {nrm:.6f} is only a lower bound"
+        nrm, what = op_norm(X), "compression norm"
+    except BasisCapExceeded as exc:
+        nrm, what, refused = X.symbol.l2_norm(), "vacuum column norm", f" (op_norm refused: {exc})"
+    if nrm > 1 + CONTRACTION_TOL:
+        return False, f"{what} {nrm:.6f} > 1 + {CONTRACTION_TOL}"
+    reason = f"the {what} {nrm:.6f} is only a lower bound{refused}"
     return None, f"symbol bound {bound:.6f} > 1 + {CONTRACTION_TOL} and {reason}"
 
 

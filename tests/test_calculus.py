@@ -17,7 +17,7 @@ from conftest import (
     random_vector,
     refuse_write_out,
 )
-from fockalg import operators
+from fockalg import calculus, operators
 from fockalg.calculus import (
     ISOMETRY_TOL,
     _BallProblem,
@@ -34,13 +34,14 @@ from fockalg.hardy import ScalarSeries, harmonic_series, reciprocal
 from fockalg.operators import (
     FreeSeries,
     _compression,
+    compose,
     creation_op,
     level_split_sigma,
     op_from_matrix,
     op_norm,
     series_to_op,
 )
-from fockalg.words import BasisIndexer, Word, enumerate_words, word
+from fockalg.words import BasisCapExceeded, BasisIndexer, Word, enumerate_words, word
 
 
 def L_op(letter, n=2, N=10):
@@ -332,6 +333,67 @@ def test_unconstrained_witness_residual():
     res = factorization_residual(b, c, word(2), n, N)
     assert res <= 1e-9
     assert b.degree() >= 1 and len(c.coeffs) >= 2
+
+
+def _operator_residual(b, c, w, n, N):
+    """The compression norm of B C - L_w built from three operators: compose,
+    minus creation_op, then op_norm."""
+    return op_norm(compose(series_to_op(b, n, N), series_to_op(c, n, N)) - creation_op("left", w, n, N))
+
+
+def _witness_pair(n, N, K=24):
+    g = reciprocal(harmonic_series(K), K)
+    b = FreeSeries.make(n, {Word((1,) * k): g.coeff(k) for k in range(min(K, N) + 1)})
+    c = FreeSeries.make(n, {Word((1,) * k + (2,)): 1.0 / (k + 1) for k in range(N)})
+    return b, c
+
+
+def test_factorization_residual_is_the_three_operator_residual():
+    # one symbol b*c - delta_w makes the same product, subtraction and sigma as
+    # the operators: the same float, on run-all's candidates and witness pairs
+    n, N, w = 2, 5, word(1, 2)
+    cands = search_ball_factorizations(w, 2, n, N, restarts=32, seed=7)
+    cases = [(c.b, c.c, w, N) for c in cands]
+    cases += [(*_witness_pair(n, level), word(2), level) for level in (5, 8)]
+    for b, c, target, level in cases:
+        got = factorization_residual(b, c, target, n, level)
+        assert got.hex() == _operator_residual(b, c, target, n, level).hex()
+    assert [c.residual for c in cands] == [factorization_residual(c.b, c.c, w, n, N) for c in cands]
+
+
+def test_search_kernel_is_complex():
+    # built once as the coefficients it multiplies are, not cast by each product
+    kernel = _BallProblem(word(1, 2), 2, 2, 5).kernel
+    assert kernel.dtype == complex and kernel.shape == (31, 7, 7)
+    assert not kernel.imag.any()
+
+
+@pytest.mark.parametrize("n, degree, refused", [
+    (2, 4, False), (2, 5, True), (3, 2, False), (3, 3, True), (30, 1, False), (31, 1, True)])
+def test_search_kernel_answers_to_the_basis_cap(n, degree, refused, monkeypatch):
+    # P m^2 entries, P product words and m factor words, refused before the
+    # sigma plan and the kernel's allocation
+    monkeypatch.delenv("FOCKALG_BASIS_CAP", raising=False)
+    entries = BasisIndexer(n, 2 * degree).size * BasisIndexer(n, degree).size ** 2
+    if not refused:
+        assert _BallProblem(word(1, 2), degree, n, 2 * degree).kernel.size == entries
+        return
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sigma plan was made")
+
+    monkeypatch.setattr(calculus, "level_split_sigma", refuse)
+    message = f"the search kernel at degree {degree}, n={n} ({entries} entries) exceeds cap 1000000"
+    with pytest.raises(BasisCapExceeded, match=f"^{re.escape(message)}$"):
+        search_ball_factorizations(word(1, 2), degree, n, 2 * degree)
+
+
+def test_search_restarts_answer_to_the_basis_cap(monkeypatch):
+    # one candidate is kept per restart
+    monkeypatch.setenv("FOCKALG_BASIS_CAP", "100")
+    assert len(search_ball_factorizations(word(1), 1, 2, 2, restarts=100, max_iter=1)) == 100
+    with pytest.raises(BasisCapExceeded, match="^restarts=101 exceeds cap 100$"):
+        search_ball_factorizations(word(1), 1, 2, 2, restarts=101)
 
 
 def test_search_small_word():

@@ -529,8 +529,11 @@ def test_cli_input_messages_name_the_flags_given(argv, message, capsys):
      "K=6 builds words of total length K(K+1)/2 = 21, which exceeds cap 20"),
     (["ideal-counterexample", "--level", "6"],
      "N=6 builds words of total length N(N+1)/2 = 21, which exceeds cap 20"),
+    # one candidate per restart, a sum of terms + 1 steps
+    (["ball-search", "--restarts", "21"], "restarts=21 exceeds cap 20"),
+    (["flip-examples", "--terms", "21"], "terms=21 exceeds cap 20"),
 ], ids=["cesaro-kmax", "adjoint-decay-kmax", "membership-witness-terms", "factor-generator-terms",
-        "ideal-counterexample-level"])
+        "ideal-counterexample-level", "ball-search-restarts", "flip-examples-terms"])
 def test_cli_size_flags_answer_to_the_basis_cap(argv, message, monkeypatch, capsys):
     """A flag that sizes a list or the words of a run is refused past the
     basis cap, before any of it is built, with the value given."""
@@ -543,9 +546,23 @@ def test_size_flags_at_the_basis_cap_still_run(monkeypatch):
     monkeypatch.setenv("FOCKALG_BASIS_CAP", "15")
     assert E.exp_cesaro(kmax=15).params["kmax"] == 15
     assert E.exp_membership_witness(K=15).params["K"] == 15
-    for run in (lambda: E.exp_cesaro(kmax=16), lambda: E.exp_membership_witness(K=16)):
+    # runs whose other sizes fit the cap too: a 7-word basis, an 8-point grid
+    assert E.exp_flip_examples(N=2, terms=15, grid=8).params["terms"] == 15
+    assert E.exp_ball_search(w=Word(), degree=0, N=2, restarts=15).measurements["n_candidates"] == 15
+    for run in (lambda: E.exp_cesaro(kmax=16), lambda: E.exp_membership_witness(K=16),
+                lambda: E.exp_flip_examples(N=2, terms=16, grid=8),
+                lambda: E.exp_ball_search(w=Word(), degree=0, N=2, restarts=16)):
         with pytest.raises(BasisCapExceeded, match="exceeds cap 15$"):
             run()
+
+
+def test_cli_search_kernel_answers_to_the_basis_cap(monkeypatch, capsys):
+    # 993 product words times 32^2 factor-word pairs, refused before anything is allocated
+    monkeypatch.delenv("FOCKALG_BASIS_CAP", raising=False)
+    assert main(["ball-search", "--n", "31", "--degree", "1", "--level", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "fockalg ball-search: error: the search kernel at degree 1, n=31 (1016832 entries) "
+        "exceeds cap 1000000\n")
 
 
 def test_cli_tol_is_checked(capsys):

@@ -1,3 +1,4 @@
+import ast
 import gc
 import math
 import os
@@ -113,6 +114,59 @@ def test_fourier_of_matrix_backed():
             fourier_of(M, depth)
     with pytest.raises(ValueError, match="exceeds truncation"):
         fourier_of(M, 5)
+
+
+def test_truncop_refuses_a_symbol_past_its_truncation():
+    # the one check of a symbol's degree, where every symbol enters an operator
+    s = FreeSeries.make(2, {Word(): 1.0, word(1, 2, 1): 0.5})
+    builds = [lambda: operators.TruncOp(2, 2, symbol=s, side="left"),
+              lambda: operators.TruncOp(2, 2, symbol=s, side="right", frontier=0)]
+    builds += [lambda side=side: series_to_op(s, 2, 2, side) for side in ("left", "right")]
+    builds += [lambda side=side: creation_op(side, word(1, 2, 1), 2, 2) for side in ("left", "right")]
+    for build in builds:
+        with pytest.raises(ValueError, match="^symbol degree 3 exceeds truncation 2$"):
+            build()
+    assert operators.TruncOp(2, 3, symbol=s, side="left").frontier == 0
+
+
+def _scopes(node, scope=""):
+    """(node, dotted name of its innermost enclosing class or function)."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield child, inner
+        yield from _scopes(child, inner)
+
+
+def test_only_truncop_checks_the_symbol_degree():
+    """The refusal of a symbol past N is written once, in TruncOp.__init__:
+    no constructor or norm holds a copy of it."""
+    sources = sorted(Path(operators.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    holders = [(path.name, scope) for path in sources
+               for node, scope in _scopes(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and node.value.startswith("symbol degree ")]
+    assert holders == [("operators.py", "TruncOp.__init__")]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_op_norm_reads_the_symbol_as_stored(side, monkeypatch):
+    # the symbols of a constructor, a product truncated at N and a sum: op_norm
+    # measures each as stored, never truncating it again
+    a = FreeSeries.make(2, {Word(): 0.5, word(1): 0.5, word(1, 2): -0.25j})
+    b = FreeSeries.make(2, {word(2): 0.5, word(2, 1, 1): 0.75})
+    A, B = series_to_op(a, 2, 4, side), series_to_op(b, 2, 4, side)
+    ops = [A, compose(A, B), A + B.scale(0.5)]
+    want = [np.linalg.norm(X.dense(), 2) for X in ops]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("op_norm truncated a symbol")
+
+    monkeypatch.setattr(FreeSeries, "truncate", refuse)
+    for X, sigma in zip(ops, want):
+        assert abs(op_norm(X) - sigma) <= 1e-12 * sigma
 
 
 # -- graded decomposition -------------------------------------------------------
@@ -783,11 +837,11 @@ def test_orbit_warns_when_compression_norm_unchecked(monkeypatch):
         orbit = adjoint_power_orbit(L, xi, 3)
     assert orbit[1] == pytest.approx(0.6)
     # a compression that would split whole is refused too: its plan reads the
-    # positions from a BasisIndexer
+    # positions from a BasisIndexer; its vacuum column, 1.27, refutes it
     L = series_to_op(FreeSeries.make(2, {word(1, 2): 0.9, word(2, 1): 0.9}), 2, 12)  # bound 1.27
     with pytest.raises(BasisCapExceeded):
         op_norm(L)
-    with pytest.warns(RuntimeWarning, match="compression norm unchecked.*over the basis cap"):
+    with pytest.warns(UserWarning, match=r"^operator has vacuum column norm 1\.272792 > 1 \+ 1e-09"):
         adjoint_power_orbit(L, xi, 3)
     # below the cap, a compression norm <= 1 (0.979) under a bound of 1.02 decides nothing
     L = series_to_op(FreeSeries.make(2, {Word(): 0.52, word(1): 0.5}), 2, 4)
@@ -818,10 +872,21 @@ def test_contraction_status_false_from_compression_norm():
 
 
 def test_contraction_status_unchecked_over_basis_cap(monkeypatch):
+    # the vacuum column norm 0.85 decides nothing; the reason quotes the refusal
     monkeypatch.setenv("FOCKALG_BASIS_CAP", "100")
     X = series_to_op(FreeSeries.make(2, {Word(): 0.6, word(1): 0.6}), 2, 12)
-    ok, reason = contraction_status(X)
-    assert ok is None and "basis cap" in reason
+    assert contraction_status(X) == (
+        None, "symbol bound 1.200000 > 1 + 1e-09 and the vacuum column norm 0.848528 is only a "
+              "lower bound (op_norm refused: basis for (n=2, N=12) has 127+ entries, cap 100)")
+
+
+def test_contraction_status_false_from_vacuum_column_over_basis_cap(monkeypatch):
+    # ||X xi_1|| = ||a||_2 <= ||X|| needs no compression: 1.082 > 1 refutes
+    monkeypatch.setenv("FOCKALG_BASIS_CAP", "100")
+    X = series_to_op(FreeSeries.make(2, {Word(): 0.6, word(1): 0.9}), 2, 12)
+    with pytest.raises(BasisCapExceeded):
+        op_norm(X)
+    assert contraction_status(X) == (False, "vacuum column norm 1.081665 > 1 + 1e-09")
 
 
 def test_contraction_status_unchecked_from_lower_bound():
@@ -1329,8 +1394,13 @@ def test_over_dense_cap_refusals():
     Y = series_to_op(deep, 2, 13, "right")
     with pytest.raises(BasisCapExceeded, match="limited to basis <= 4096, have 8191"):
         op_norm(Y)
+    # its vacuum column norm sqrt(2) refutes it; at 0.85 it decides nothing, and
+    # the reason names DENSE_CAP's refusal, not the basis cap's
+    assert contraction_status(Y) == (False, "vacuum column norm 1.414214 > 1 + 1e-09")
+    Y = series_to_op(deep.scale(0.6), 2, 13, "right")
     assert contraction_status(Y) == (
-        None, "symbol bound 2.000000 > 1 + 1e-09 and the compression is over the basis cap")
+        None, "symbol bound 1.200000 > 1 + 1e-09 and the vacuum column norm 0.848528 is only a "
+              "lower bound (op_norm refused: dense matrices limited to basis <= 4096, have 8191)")
 
 
 def test_op_from_matrix_checks_the_shape():

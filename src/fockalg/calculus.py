@@ -147,7 +147,7 @@ def verify_factorization(g: ScalarSeries, X: TruncOp, A: TruncOp, target: TruncO
 class FactorCandidate:
     """One local minimizer of || B C - L_w || with both factors in the ball;
     compression_norm is the larger factor's, measured on the reported factors
-    with the search's own sigma plan."""
+    with the search's own sigma plan (the last two of a restart's four sigma)."""
 
     b: FreeSeries
     c: FreeSeries
@@ -212,6 +212,11 @@ class _BallProblem:
         self.wtarget = np.zeros(products.size, dtype=complex)
         self.wtarget[products.index_of(w)] = root_m[len(w)]
 
+    def sweep(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One ALS sweep from c: b solved against c, then c against that b."""
+        b = np.linalg.lstsq(self.kernel @ c, self.wtarget, rcond=None)[0]
+        return b, np.linalg.lstsq(b @ self.kernel, self.wtarget, rcond=None)[0]
+
     def residual(self, b: np.ndarray, c: np.ndarray) -> float:
         """||P_N (B C - L_w) P_N||_F, from the coefficients alone."""
         return float(np.linalg.norm(self.kernel @ c @ b - self.wtarget))
@@ -221,7 +226,7 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
                                restarts: int = 32, seed: int = 0,
                                max_iter: int = 300) -> list[FactorCandidate]:
     """Alternating least squares over coefficient polynomials of bounded degree,
-    with spectral-norm projection keeping both factors in the unit ball, for
+    with the factors balanced and projected into the unit ball at the end, for
     |w| <= 2*degree <= N and w nonempty at degree >= 1 (L_w = I factors only
     into unimodular scalars, which the sweeps reach at degree 0 alone).
 
@@ -231,21 +236,21 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
     So ||P_N (B C - L_w) P_N||_F^2 = sum_t m_|t| |(b*c)_t - delta_{t,w}|^2, and
     each half-step is a linear least-squares problem in one factor's
     coefficients with one row per product word, weighted by sqrt(m_|t|).  The
-    convergence test reads that residual.  Every sigma_max, in the sweeps, the
-    final measurement and the final residual (factorization_residual), is exact
-    from the level split (operators.level_split_sigma).  When the updated
-    factor is projected (divided by its sigma_max), the discarded scale is
-    carried into the other factor (into c by the solve that follows); the
-    product is invariant under (tB, C/t), so the carry keeps the objective
-    monotone where a bare projection stalls.  After 20 sweeps a run stops as
-    soon as the last 10 sweeps fail to halve the
-    residual: a converging run halves it well within 10 sweeps, while runs
-    that end far from L_w sit in a swamp where it decays like 1/k, and
-    (k - W)/k >= 1/2 for a window of W sweeps once k >= 2W, so W = 10 cuts
-    them at the first check, at sweep 21.  The last sweep's sigma fix both
-    factors' by homogeneity, so the final gauge balance and projection into the
-    ball are one scalar each, and the restart's two sigma after its sweeps
-    measure the reported factors for compression_norm.  Restarts use
+    convergence test reads that residual.  The sweeps read only the product
+    b*c, and least squares is homogeneous: a sweep from t*c gives b/t and t
+    times the c a sweep from c gives, so the same product, for every t > 0.
+    Projecting a factor into the ball between half-steps, with its scale
+    carried into the other, would only move the pair along the gauge
+    (tB, C/t), so the sweeps take no sigma.  After 20 sweeps a run stops as
+    soon as the last 10 sweeps fail to halve the residual: a converging run
+    halves it well within 10 sweeps, while runs that end far from L_w sit in
+    a swamp where it decays like 1/k, and (k - W)/k >= 1/2 for a window of W
+    sweeps once k >= 2W, so W = 10 cuts them at the first check, at sweep 21.
+    Each restart then takes
+    four sigma, exact from the level split (operators.level_split_sigma): two
+    fix the gauge balance and projection into the ball by homogeneity, and
+    two measure the reported factors for compression_norm.  The final residual
+    (factorization_residual) is exact by the same split.  Restarts use
     independently derived seeds, making the output deterministic for a given
     (seed, restarts) regardless of scheduling.  Candidates come back in restart
     order, not by residual: a near candidate's residual is rounding noise, so a
@@ -269,23 +274,11 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
     out: list[FactorCandidate] = []
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        # b's start is never read (the first sweep solves for b); drawing it keeps c's the same
-        bvec = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2 * m)
+        rng.standard_normal(2 * m)  # b's start: the first sweep solves for b, so it is only drawn
         cvec = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2 * m)
-        sc = problem.sigma(cvec)
-        if sc > 1.0:
-            cvec = cvec / sc
         history: list[float] = []  # one residual per sweep
         for it in range(max_iter):
-            bvec = np.linalg.lstsq(problem.kernel @ cvec, problem.wtarget, rcond=None)[0]
-            sb = problem.sigma(bvec)
-            if sb > 1.0:
-                bvec /= sb
-            cvec = np.linalg.lstsq(bvec @ problem.kernel, problem.wtarget, rcond=None)[0]
-            sc = problem.sigma(cvec)
-            if sc > 1.0:
-                cvec /= sc
-                bvec = bvec * sc
+            bvec, cvec = problem.sweep(cvec)
             res = problem.residual(bvec, cvec)
             history.append(res)
             if res < 1e-13:
@@ -294,13 +287,12 @@ def search_ball_factorizations(w: Word, degree: int, n: int, N: int,
             # swamp decaying like 1/k does not, as (k - 10)/k >= 1/2 for k >= 20
             if it >= 20 and res > 0.5 * history[-10]:
                 break
-        # sigma is homogeneous: b's is min(sb, 1) max(sc, 1) and c's min(sc, 1).
-        # The (tB, C/t) gauge gives both s = sqrt(sigma_b sigma_c), so dividing by
-        # max(1, s) projects them as losslessly as the product allows.  With a
-        # zero factor, both are already in the ball.
+        # The (tB, C/t) gauge gives both factors s = sqrt(sigma_b sigma_c), so
+        # dividing by max(1, s) projects them as losslessly as the product
+        # allows.  With a zero factor, both are already in the ball.
+        sb, sc = problem.sigma(bvec), problem.sigma(cvec)
         if sb > 0 and sc > 0:
-            sigma_b, sigma_c = min(sb, 1.0) * max(sc, 1.0), min(sc, 1.0)
-            t, s = math.sqrt(sigma_b / sigma_c), max(1.0, math.sqrt(sigma_b * sigma_c))
+            t, s = math.sqrt(sb / sc), max(1.0, math.sqrt(sb * sc))
             bvec, cvec = bvec / (t * s), cvec * (t / s)
         norm = max(problem.sigma(bvec), problem.sigma(cvec))
         bser = FreeSeries.make(n, dict(zip(basis, bvec)))

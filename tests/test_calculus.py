@@ -507,20 +507,49 @@ def _dense_design_als(w, degree, n, N, restarts, seed, max_iter=300):
 
 
 def test_search_matches_dense_design_reference():
-    # at seed 7, restarts 0 and 1 end far from L_w and 2 and 3 reach it
-    w, degree, n, N, restarts, max_iter = word(1, 2), 2, 2, 5, 4, 100
-    basis, runs = _dense_design_als(w, degree, n, N, restarts, seed=7, max_iter=max_iter)
-    cands = search_ball_factorizations(w, degree, n, N, restarts=restarts, seed=7,
-                                       max_iter=max_iter)
-    assert sorted(c.restart for c in cands) == list(range(restarts))
-    for c in cands:
-        iters, bvec, cvec = runs[c.restart]
-        assert c.iterations == iters
-        b = FreeSeries.make(n, dict(zip(basis, bvec)))
-        cs = FreeSeries.make(n, dict(zip(basis, cvec)))
-        assert c.split == classify_word_factorization(b, cs, w)[1]
-        assert (c.b - b).sup_abs() <= 1e-10
-        assert (c.c - cs).sup_abs() <= 1e-10
+    # the reference projects both factors into the ball in every sweep and the
+    # search does not: the projections only move the pair along its gauge.
+    # At seed 7, z1 z2's restarts 0 and 1 end far from L_w and 2 and 3 reach
+    # it; all four reach z1 z2 z1, split in its interior.
+    degree, n, N, restarts, max_iter = 2, 2, 5, 4, 100
+    splits = {}
+    for w in (word(1, 2), word(1, 2, 1)):
+        basis, runs = _dense_design_als(w, degree, n, N, restarts, seed=7, max_iter=max_iter)
+        cands = search_ball_factorizations(w, degree, n, N, restarts=restarts, seed=7,
+                                           max_iter=max_iter)
+        assert sorted(c.restart for c in cands) == list(range(restarts))
+        for c in cands:
+            iters, bvec, cvec = runs[c.restart]
+            assert c.iterations == iters
+            b = FreeSeries.make(n, dict(zip(basis, bvec)))
+            cs = FreeSeries.make(n, dict(zip(basis, cvec)))
+            assert c.split == classify_word_factorization(b, cs, w)[1]
+            assert (c.b - b).sup_abs() <= 1e-10
+            assert (c.c - cs).sup_abs() <= 1e-10
+        splits[w] = {c.split for c in cands}
+    assert splits[word(1, 2, 1)] == {(word(1), word(2, 1)), (word(1, 2), word(1))}
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3]),
+    degree=st.sampled_from([1, 2]),
+    log_t=st.floats(-6, 6),
+)
+def test_sweep_product_is_gauge_invariant(seed, n, degree, log_t):
+    # least squares is homogeneous, so a sweep from t*c gives the same b*c:
+    # the search need not project between sweeps
+    rng = np.random.default_rng(seed)
+    products = [u for k in range(1, 2 * degree + 1) for u in enumerate_words(n, k)]
+    w = products[rng.integers(len(products))]
+    problem = _BallProblem(w, degree, n, 2 * degree + 1)
+    m = len(problem.basis)
+    c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    b, c1 = problem.sweep(c)
+    bt, ct = problem.sweep(10.0**log_t * c)
+    ref = problem.kernel @ c1 @ b
+    assert np.linalg.norm(problem.kernel @ ct @ bt - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("n, restarts, seed", [

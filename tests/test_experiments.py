@@ -320,8 +320,8 @@ def test_ball_search_measures_its_factors_with_the_search_plan(monkeypatch):
     def counted(*args):
         calls.append(args)
         return sigma(*args)
-    # the search's own sigma: one for c's start, two per sweep and the two
-    # that measure the reported factors; the gauge and projection take none
+    # the search's own sigma: four per restart, however many sweeps it runs;
+    # two fix the final gauge and projection, two measure the reported factors
     search_sigma = []
 
     def counted_search_plan(*args):
@@ -344,7 +344,8 @@ def test_ball_search_measures_its_factors_with_the_search_plan(monkeypatch):
     E.exp_ball_search(restarts=4)
     assert len(calls) == 4 + 2
     assert len(cands) == 4
-    assert len(search_sigma) == 2 * sum(c.iterations for c in cands) + 3 * 4
+    assert len(search_sigma) == 4 * 4
+    assert sum(c.iterations for c in cands) > 4  # some restart sweeps more than once
     # the balanced gauge leaves both factors with the same sigma
     for c in cands:
         sb, sc = (operators.op_norm(operators.series_to_op(f, 2, 5)) for f in (c.b, c.c))

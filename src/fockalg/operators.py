@@ -24,7 +24,6 @@ level N silently corrupts products and adjoints outside it.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -448,17 +447,10 @@ def adjoint_power_orbit(L: TruncOp, xi: FockVector, kmax: int) -> list[float]:
     """The sequence ||(L*)^k xi|| for k = 0..kmax.
 
     Adjoints of symbol operators never raise levels, so the orbit is exact at
-    any truncation holding xi.  The orbit is computed whatever contraction_status
-    says, since the decay mechanism only needs |a_0| < 1; a norm above 1 warns
-    (UserWarning), and a norm the certificate leaves unchecked warns
-    RuntimeWarning("compression norm unchecked: ...").
+    any truncation holding xi.  Only the orbit is computed, whatever ||L|| is,
+    since the decay mechanism only needs |a_0| < 1; a caller that reports
+    whether L is a contraction reads contraction_status.
     """
-    ok, reason = contraction_status(L)
-    if ok is False:
-        warnings.warn(f"operator has {reason}; orbit computed anyway", stacklevel=2)
-    elif ok is None:
-        warnings.warn(f"compression norm unchecked: {reason}; orbit computed anyway",
-                      RuntimeWarning, stacklevel=2)
     vals = [xi.norm()]
     vec = xi
     for _ in range(kmax):

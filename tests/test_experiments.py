@@ -40,7 +40,7 @@ def test_adjoint_decay_defaults():
 
 
 def test_adjoint_decay_takes_the_compression_norm_once(monkeypatch):
-    # the report and each of the six orbit certificates read the norm of one L
+    # the report and the one contraction_status read take the norm of one L
     calls = []
     sigma = operators.level_split_sigma
     monkeypatch.setattr(operators, "level_split_sigma",
@@ -54,6 +54,12 @@ def test_adjoint_decay_notes_an_unchecked_norm():
     # symbol bound 1 + 1e-6: not expansive, and not shown to be a contraction
     rep = E.exp_adjoint_decay(lam=1e-6, N=1)
     assert len(rep.notes) == 1 and rep.notes[0].startswith("compression norm unchecked")
+
+
+def test_adjoint_decay_notes_nothing_for_a_contraction():
+    # at lam = 0, L = L_1 is an isometry: its symbol bound 1 settles the check
+    rep = E.exp_adjoint_decay(lam=0)
+    assert rep.verdict and rep.notes == []
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.9])
@@ -394,6 +400,13 @@ def test_cli_eigenvector_checks_basis_cap_first(monkeypatch, capsys):
     assert main(["eigenvector", "--level", "12"]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "N=12" in err
+
+
+@pytest.mark.parametrize("name", ["ideal-counterexample", "flip-examples"])
+def test_cli_coarsest_grid_folds_long_partial_sums(name, capsys):
+    # grid 8 is far below m = 1000: the sup-norm folds c_0..c_1000 mod 8
+    assert main([name, "--grid", "8"]) == 0
+    assert capsys.readouterr().out.startswith("[PASS]")
 
 
 def test_cli_unknown_experiment():

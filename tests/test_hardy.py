@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockalg.hardy import (
@@ -197,6 +197,39 @@ def test_partial_sum_sup_refuses_negative_m():
     # a negative m would otherwise index the coefficients from the end
     with pytest.raises(ValueError, match=r"got m = -1"):
         partial_sum_sup(harmonic_series(4), -1, 64)
+
+
+def _horner_sup(s, m, grid):
+    """The sup by m Horner passes over the grid theta_j = 2 pi j / grid."""
+    z = np.exp(1j * np.arange(grid) * (2.0 * math.pi / grid))
+    val = np.full(grid, s.coeffs[m], dtype=complex)
+    for k in range(m - 1, -1, -1):
+        val = val * z + s.coeffs[k]
+    return float(np.max(np.abs(val)))
+
+
+@settings(deadline=None, max_examples=60)
+@example(seed=0, m=0, grid=8, complex_coeffs=False)
+@example(seed=1, m=5, grid=8, complex_coeffs=True)
+@example(seed=2, m=300, grid=8, complex_coeffs=False)
+@example(seed=3, m=300, grid=17, complex_coeffs=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 300),
+       grid=st.sampled_from([8, 9, 17, 64, 255, 600]), complex_coeffs=st.booleans())
+def test_partial_sum_sup_matches_horner(seed, m, grid, complex_coeffs):
+    # m >= grid folds the coefficients mod grid before the FFT
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(m + 1) + (1j * rng.standard_normal(m + 1) if complex_coeffs else 0)
+    s = ScalarSeries.make(c)
+    ref = _horner_sup(s, m, grid)
+    assert abs(partial_sum_sup(s, m, grid) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("m, grid", [(10, 2048), (1000, 2048), (1000, 8)])
+def test_partial_sum_sup_matches_horner_on_harmonic(m, grid):
+    # the reports' series at their default grid and at the coarsest one
+    s = harmonic_series(1000)
+    ref = _horner_sup(s, m, grid)
+    assert abs(partial_sum_sup(s, m, grid) - ref) <= 1e-12 * ref
 
 
 def test_grids_are_capped(monkeypatch):

@@ -785,8 +785,7 @@ def make_scalar_shift(lam, N=4):
 
 
 def test_orbit_scalar_part_exact():
-    with pytest.warns(UserWarning):
-        orbit = adjoint_power_orbit(make_scalar_shift(0.5), FockVector.basis(2, 4, Word()), 12)
+    orbit = adjoint_power_orbit(make_scalar_shift(0.5), FockVector.basis(2, 4, Word()), 12)
     for k, val in enumerate(orbit):
         assert abs(val - 0.5**k) <= 1e-12
     assert abs(orbit[10] - 9.765625e-4) <= 1e-12
@@ -809,8 +808,7 @@ def test_orbit_binomial_bound(lam):
     A = series_to_op(FreeSeries.make(2, {word(1): mu}), 2, N)
     for w in [Word(), word(1), word(1, 1), word(2, 1)]:
         xi = FockVector.basis(2, N, w)
-        with pytest.warns(UserWarning):
-            orbit = adjoint_power_orbit(L, xi, 60)
+        orbit = adjoint_power_orbit(L, xi, 60)
         anorms = [1.0]
         vec = xi
         for _ in range(len(w)):
@@ -829,39 +827,33 @@ def test_orbit_binomial_bound(lam):
             assert bound <= loose + 1e-12
 
 
-def test_orbit_warns_when_compression_norm_unchecked(monkeypatch):
+def test_orbit_warns_nothing_for_an_unchecked_or_expansive_operator(monkeypatch):
+    # the orbit is computed whatever ||L|| is, without reading contraction_status:
+    # nothing warns and nothing is materialized
     monkeypatch.setenv("FOCKALG_BASIS_CAP", "100")
     xi = FockVector.basis(2, 12, Word())
-    L = series_to_op(FreeSeries.make(2, {Word(): 0.6, word(1): 0.6}), 2, 12)  # bound 1.2
-    with pytest.warns(RuntimeWarning, match="compression norm unchecked"):
-        orbit = adjoint_power_orbit(L, xi, 3)
-    assert orbit[1] == pytest.approx(0.6)
-    # a compression that would split whole is refused too: its plan reads the
-    # positions from a BasisIndexer; its vacuum column, 1.27, refutes it
-    L = series_to_op(FreeSeries.make(2, {word(1, 2): 0.9, word(2, 1): 0.9}), 2, 12)  # bound 1.27
-    with pytest.raises(BasisCapExceeded):
-        op_norm(L)
-    with pytest.warns(UserWarning, match=r"^operator has vacuum column norm 1\.272792 > 1 \+ 1e-09"):
-        adjoint_power_orbit(L, xi, 3)
-    # below the cap, a compression norm <= 1 (0.979) under a bound of 1.02 decides nothing
-    L = series_to_op(FreeSeries.make(2, {Word(): 0.52, word(1): 0.5}), 2, 4)
-    with pytest.warns(RuntimeWarning, match="compression norm unchecked.*lower bound"):
-        adjoint_power_orbit(L, FockVector.basis(2, 4, Word()), 3)
-    # a bound <= 1 settles the check without materializing, so nothing warns
-    L = series_to_op(FreeSeries.make(2, {word(1): 0.6, word(2): 0.8}), 2, 12)
+    unchecked = series_to_op(FreeSeries.make(2, {Word(): 0.6, word(1): 0.6}), 2, 12)  # bound 1.2
+    expansive = series_to_op(FreeSeries.make(2, {word(1, 2): 0.9, word(2, 1): 0.9}), 2, 12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        adjoint_power_orbit(L, xi, 3)
-    assert L._matrix is None
+        orbit = adjoint_power_orbit(unchecked, xi, 3)
+        assert adjoint_power_orbit(expansive, xi, 3) == [1.0, 0.0, 0.0, 0.0]
+    assert orbit[1] == pytest.approx(0.6)
+    assert unchecked._matrix is None and expansive._matrix is None
 
 
 # -- contraction certificate ---------------------------------------------------
 
 
-def test_contraction_status_true_from_symbol_bound_alone():
+def test_contraction_status_true_from_symbol_bound_alone(monkeypatch):
     X = series_to_op(FreeSeries.make(2, {word(1): 0.6, word(2): 0.8}), 2, 4)
     ok, reason = contraction_status(X)
     assert ok is True and "symbol bound" in reason
+    assert X._matrix is None
+    # a bound <= 1 settles the check even past the basis cap
+    monkeypatch.setenv("FOCKALG_BASIS_CAP", "100")
+    X = series_to_op(FreeSeries.make(2, {word(1): 0.6, word(2): 0.8}), 2, 12)
+    assert contraction_status(X) == (True, "symbol bound 1.000000 <= 1 + 1e-09")
     assert X._matrix is None
 
 
@@ -887,6 +879,12 @@ def test_contraction_status_false_from_vacuum_column_over_basis_cap(monkeypatch)
     with pytest.raises(BasisCapExceeded):
         op_norm(X)
     assert contraction_status(X) == (False, "vacuum column norm 1.081665 > 1 + 1e-09")
+    # a compression that would split whole is refused too: its plan reads the
+    # positions from a BasisIndexer; its vacuum column, 1.27, refutes it
+    X = series_to_op(FreeSeries.make(2, {word(1, 2): 0.9, word(2, 1): 0.9}), 2, 12)  # bound 1.27
+    with pytest.raises(BasisCapExceeded):
+        op_norm(X)
+    assert contraction_status(X) == (False, "vacuum column norm 1.272792 > 1 + 1e-09")
 
 
 def test_contraction_status_unchecked_from_lower_bound():
